@@ -859,21 +859,30 @@ fn parent_facts(rule: &DlRule, b: &DlBindings) -> Result<Vec<String>, DlError> {
     Ok(out)
 }
 
-/// For each body literal, the column a join should probe: the first
-/// argument position that is a constant or a variable bound by an earlier
-/// positive literal, or `None` when every argument is unconstrained at
-/// that point (the literal is a genuine scan). Bindings built left to
-/// right all bind exactly the variables of the preceding positive
-/// literals, so this static plan agrees with the dynamic groundness of
-/// every binding.
-fn probe_plan(rule: &DlRule) -> Vec<Option<usize>> {
-    let mut bound: BTreeSet<&str> = BTreeSet::new();
-    let mut plan = Vec::with_capacity(rule.body.len());
-    for lit in &rule.body {
-        plan.push(lit.atom.args.iter().position(|t| match t {
+/// For each body literal, the column a join should probe when the body is
+/// evaluated in `order` starting from bindings of exactly the `bound`
+/// variables: the first argument position that is a constant or a
+/// variable bound by `bound` or by an earlier positive literal of
+/// `order`, or `None` when every argument is unconstrained at that point
+/// (the literal is a genuine scan). Bindings built in that order bind
+/// exactly those variables, so this static plan agrees with the dynamic
+/// groundness of every binding. The result is indexed by body position;
+/// positions `order` skips get `None`. The fixpoint engines pass source
+/// order and no bound variables; the maintenance engine (`uset-ivm`)
+/// passes its delta-first order and the variables of a seed binding.
+pub fn probe_plan<'r>(
+    rule: &'r DlRule,
+    order: impl IntoIterator<Item = usize>,
+    bound: &BTreeSet<&'r str>,
+) -> Vec<Option<usize>> {
+    let mut bound = bound.clone();
+    let mut plan = vec![None; rule.body.len()];
+    for i in order {
+        let lit = &rule.body[i];
+        plan[i] = lit.atom.args.iter().position(|t| match t {
             DlTerm::Const(_) => true,
             DlTerm::Var(v) => bound.contains(v.as_str()),
-        }));
+        });
         if lit.positive {
             for t in &lit.atom.args {
                 if let DlTerm::Var(v) = t {
@@ -885,14 +894,26 @@ fn probe_plan(rule: &DlRule) -> Vec<Option<usize>> {
     plan
 }
 
-/// How a firing reaches the shared index cache: the sequential engine
-/// builds indexes lazily on first probe; parallel workers share the cache
-/// read-only and may only use what the round prebuilt.
-enum IndexAccess<'a> {
+/// How a join reaches an index cache: the sequential engines build
+/// indexes lazily on first probe; parallel workers share the cache
+/// read-only and may only use what was prebuilt.
+pub enum IndexAccess<'a> {
     /// Build-on-demand (sequential path).
     Build(&'a mut IndexSet),
     /// Prebuilt, read-only (parallel workers).
     Prebuilt(&'a IndexSet),
+}
+
+impl IndexAccess<'_> {
+    /// The column-`col` index of relation `pred`, whose live instance is
+    /// `rel`: built (or rebuilt, if stale) on demand, or — read-only — the
+    /// prebuilt entry if it is fresh. `None` makes the join scan.
+    pub fn index(&mut self, pred: &str, col: usize, rel: &Instance) -> Option<&ColumnIndex> {
+        match self {
+            IndexAccess::Build(set) => Some(set.of_col(pred, col, rel)),
+            IndexAccess::Prebuilt(set) => set.get(pred, col, rel.version()),
+        }
+    }
 }
 
 /// Evaluate one rule; if `shard` carries a body position, that literal is
@@ -918,7 +939,7 @@ fn fire_rule_core(
     stats: &mut EvalStats,
     brake: Option<&ParBrake>,
 ) -> Result<(), DlError> {
-    let plan = probe_plan(rule);
+    let plan = probe_plan(rule, 0..rule.body.len(), &BTreeSet::new());
     let empty = Instance::empty();
     let shard_pos = shard.map(|(_, pos)| pos);
     let mut scratch = EvalStats::default();
@@ -940,17 +961,16 @@ fn fire_rule_core(
         } else {
             None
         };
-        let index = match (probe_col, &mut *access) {
-            (Some(col), IndexAccess::Build(set)) => Some(set.of_col(&lit.atom.pred, col, rel)),
-            (Some(col), IndexAccess::Prebuilt(set)) => set.get(&lit.atom.pred, col, rel.version()),
-            _ => None,
+        let index = match probe_col {
+            Some(col) => access.index(&lit.atom.pred, col, rel),
+            None => None,
         };
         let st: &mut EvalStats = if count_prefix || shard_pos.is_none_or(|pos| i >= pos) {
             stats
         } else {
             &mut scratch
         };
-        bindings = extend_bindings(lit, probe_col, &bindings, rel, index, st)?;
+        bindings = extend_bindings(lit, probe_col, &bindings, LitRows::of(rel, index), st)?;
         if bindings.is_empty() {
             break;
         }
@@ -1093,7 +1113,7 @@ fn prebuild_indexes(units: &[FireUnit<'_>], state: &Database, indexes: &mut Inde
         if !done.insert(unit.idx) {
             continue;
         }
-        let plan = probe_plan(unit.rule);
+        let plan = probe_plan(unit.rule, 0..unit.rule.body.len(), &BTreeSet::new());
         for (i, lit) in unit.rule.body.iter().enumerate() {
             if let (true, Some(col)) = (lit.positive, plan[i]) {
                 let rel = state.get_ref(&lit.atom.pred).unwrap_or(&empty);
@@ -1541,44 +1561,104 @@ pub fn match_row_cached(
     out.push(nb);
 }
 
-/// Extend each binding through one literal evaluated against `rel`. When
-/// the literal is positive and `probe_col` names a column that is ground
-/// under the binding, the optional `index` answers the join with a bucket
-/// probe instead of a scan over the whole relation; a ground column with
-/// no usable index is recorded as a scan fallback.
-fn extend_bindings(
+/// The rows one body literal is joined against: a stored relation and,
+/// when one is usable, its index on the literal's probe column —
+/// optionally patched by rows to hide and rows to add. The patch is how
+/// the maintenance engine (`uset-ivm`) reads a relation's pre-batch
+/// value, `new − added + removed`, straight off the current relation and
+/// its index instead of materializing a copy, and how it joins against a
+/// bare set of delta rows (an empty relation plus the rows).
+#[derive(Clone, Copy)]
+pub struct LitRows<'a> {
+    /// The stored relation.
+    pub rel: &'a Instance,
+    /// An index of `rel` on the literal's probe column, if usable.
+    pub index: Option<&'a ColumnIndex>,
+    /// Rows of `rel` the view leaves out.
+    pub hide: Option<&'a BTreeSet<Value>>,
+    /// Rows the view adds (disjoint from `rel`).
+    pub extra: Option<&'a BTreeSet<Value>>,
+}
+
+impl<'a> LitRows<'a> {
+    /// A relation as stored, with its probe-column index if any.
+    pub fn of(rel: &'a Instance, index: Option<&'a ColumnIndex>) -> LitRows<'a> {
+        LitRows {
+            rel,
+            index,
+            hide: None,
+            extra: None,
+        }
+    }
+
+    fn hides(&self, row: &Value) -> bool {
+        self.hide.is_some_and(|h| h.contains(row))
+    }
+
+    /// Match the stored `candidates` the view does not hide. The branch
+    /// on the patch stays outside the loop: unpatched joins are the
+    /// fixpoint engines' hot path.
+    fn match_each<'v>(
+        &self,
+        candidates: impl IntoIterator<Item = &'v Value>,
+        args: &[DlTerm],
+        b: &DlBindings,
+        out: &mut Vec<DlBindings>,
+        cache: &mut RowCache,
+    ) {
+        match self.hide {
+            None => {
+                for row in candidates {
+                    match_row_cached(args, row, b, out, cache);
+                }
+            }
+            Some(hide) => {
+                for row in candidates {
+                    if !hide.contains(row) {
+                        match_row_cached(args, row, b, out, cache);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Extend each binding through one literal evaluated against `rows`.
+/// When the literal is positive and `probe_col` names a column that is
+/// ground under the binding, the optional index answers the join with a
+/// bucket probe instead of a scan over the whole relation; a ground
+/// column with no usable index is recorded as a scan fallback. Patch
+/// rows are always scanned: they are the few rows a batch changed.
+pub fn extend_bindings(
     lit: &DlLiteral,
     probe_col: Option<usize>,
     bindings: &[DlBindings],
-    rel: &Instance,
-    index: Option<&ColumnIndex>,
+    rows: LitRows<'_>,
     stats: &mut EvalStats,
 ) -> Result<Vec<DlBindings>, DlError> {
     let mut out = Vec::new();
+    let args = &lit.atom.args;
     if lit.positive {
         let mut cache = RowCache::new();
         for b in bindings {
-            let key: Option<&Value> = probe_col.and_then(|c| match &lit.atom.args[c] {
+            let key: Option<&Value> = probe_col.and_then(|c| match &args[c] {
                 DlTerm::Const(cv) => Some(cv),
                 DlTerm::Var(v) => b.get(v).map(|rc| rc.value()),
             });
-            match (index, key) {
+            match (rows.index, key) {
                 (Some(idx), Some(k)) => {
                     stats.index_probes += 1;
-                    for row in idx.probe(k) {
-                        match_row_cached(&lit.atom.args, row, b, &mut out, &mut cache);
-                    }
+                    rows.match_each(idx.probe(k), args, b, &mut out, &mut cache);
                 }
                 (None, Some(_)) => {
                     stats.scan_fallbacks += 1;
-                    for row in rel.iter() {
-                        match_row_cached(&lit.atom.args, row, b, &mut out, &mut cache);
-                    }
+                    rows.match_each(rows.rel.iter(), args, b, &mut out, &mut cache);
                 }
-                _ => {
-                    for row in rel.iter() {
-                        match_row_cached(&lit.atom.args, row, b, &mut out, &mut cache);
-                    }
+                _ => rows.match_each(rows.rel.iter(), args, b, &mut out, &mut cache),
+            }
+            if let Some(extra) = rows.extra {
+                for row in extra {
+                    match_row_cached(args, row, b, &mut out, &mut cache);
                 }
             }
         }
@@ -1586,8 +1666,8 @@ fn extend_bindings(
         for b in bindings {
             // Borrow the ground argument values; an unbound variable is
             // the same safety error the materializing path raised.
-            let mut vals: Vec<&Value> = Vec::with_capacity(lit.atom.args.len());
-            for t in &lit.atom.args {
+            let mut vals: Vec<&Value> = Vec::with_capacity(args.len());
+            for t in args {
                 vals.push(match t {
                     DlTerm::Var(v) => {
                         b.get(v)
@@ -1600,9 +1680,17 @@ fn extend_bindings(
                     DlTerm::Const(c) => c,
                 });
             }
-            let present = match negated_probe(rel, &vals) {
-                Some(hit) => hit,
-                None => rel.contains(&Value::Tuple(vals.iter().map(|&v| v.clone()).collect())),
+            let present = if rows.hide.is_none() && rows.extra.is_none() {
+                match negated_probe(rows.rel, &vals) {
+                    Some(hit) => hit,
+                    None => rows
+                        .rel
+                        .contains(&Value::Tuple(vals.iter().map(|&v| v.clone()).collect())),
+                }
+            } else {
+                let row = Value::Tuple(vals.iter().map(|&v| v.clone()).collect());
+                (rows.rel.contains(&row) && !rows.hides(&row))
+                    || rows.extra.is_some_and(|x| x.contains(&row))
             };
             if !present {
                 out.push(b.clone());
@@ -1686,11 +1774,27 @@ mod tests {
         for on in [true, false] {
             intern::set_enabled(on);
             let mut stats = EvalStats::default();
-            let hit =
-                extend_bindings(&lit, Some(0), &bindings, &rel, Some(&idx), &mut stats).unwrap();
-            let scan = extend_bindings(&lit, Some(0), &bindings, &rel, None, &mut stats).unwrap();
-            let plain = extend_bindings(&lit, None, &bindings, &rel, None, &mut stats).unwrap();
-            let negated = extend_bindings(&neg, None, &bindings, &rel, None, &mut stats).unwrap();
+            let hit = extend_bindings(
+                &lit,
+                Some(0),
+                &bindings,
+                LitRows::of(&rel, Some(&idx)),
+                &mut stats,
+            )
+            .unwrap();
+            let scan = extend_bindings(
+                &lit,
+                Some(0),
+                &bindings,
+                LitRows::of(&rel, None),
+                &mut stats,
+            )
+            .unwrap();
+            let plain = extend_bindings(&lit, None, &bindings, LitRows::of(&rel, None), &mut stats)
+                .unwrap();
+            let negated =
+                extend_bindings(&neg, None, &bindings, LitRows::of(&rel, None), &mut stats)
+                    .unwrap();
             assert_eq!(stats.index_probes, 1, "one bucket probe (knob={on})");
             assert_eq!(stats.scan_fallbacks, 1, "one scan fallback (knob={on})");
             assert_eq!(hit, scan, "probe and fallback agree on bindings");

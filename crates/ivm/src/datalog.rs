@@ -14,20 +14,25 @@
 //! is journaled in an undo log; a budget trip or evaluation error
 //! replays the log backwards and returns [`IvmError::Exhausted`] with
 //! the session still holding the pre-batch state.
+//!
+//! The session owns one [`IndexSet`] over the state. Every state row a
+//! batch inserts or removes is reported to it, so each delta firing
+//! probes current indexes; a rollback drops the indexes of the
+//! relations it touched, and a recompute drops them all.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use uset_deductive::datalog::head_binding;
-use uset_deductive::{DatalogProgram, DlError};
+use uset_deductive::datalog::{head_binding, IndexAccess};
+use uset_deductive::{DatalogProgram, DlError, DlLiteral};
 use uset_guard::ckpt::codec::{Dec, Enc};
 use uset_guard::trace::TraceEvent;
 use uset_guard::{ckpt, EngineId, Governor, Guard, TraceHandle, Trip};
-use uset_object::{Database, EvalStats, Instance, Value};
+use uset_object::{Database, EvalStats, IndexSet, Instance, Value};
 use uset_opt::{maintenance_plan, MaintPlan, MaintStratum, StratumPlan};
 use uset_par::par_map;
 
 use crate::delta::{DeltaBatch, DeltaLog, NormalBatch};
-use crate::fire::{body_bindings, delta_bindings, head_row, View};
+use crate::fire::{body_bindings, delta_bindings, head_row, prebuild_rederive, Reads, View};
 use crate::{ApplyReport, IvmError, IvmMode, Semantics};
 
 /// A long-lived materialized DATALOG¬ fixpoint that absorbs EDB delta
@@ -41,10 +46,13 @@ pub struct DatalogSession {
     edb: Database,
     /// The materialized state (EDB relations + derived IDB relations).
     state: Database,
+    /// Column indexes over `state`, built on first probe and kept
+    /// current across batches.
+    indexes: IndexSet,
     /// Per-fact derivation counts for counting strata. Counts exclude
     /// EDB-seeded occurrences: a seeded fact is an axiom and survives a
     /// count of zero.
-    counts: BTreeMap<String, BTreeMap<Value, i64>>,
+    counts: Counts,
     /// Counters of the initial build (or the last fallback recompute).
     build_stats: EvalStats,
     /// Cumulative maintenance work across all applied batches.
@@ -71,6 +79,15 @@ impl From<DlError> for MaintErr {
     }
 }
 
+impl MaintErr {
+    fn into_ivm(self, stats: EvalStats) -> IvmError {
+        match self {
+            MaintErr::Trip(trip) => IvmError::Exhausted { trip, stats },
+            MaintErr::Dl(d) => IvmError::Datalog(d),
+        }
+    }
+}
+
 /// One reversible mutation, replayed backwards on rollback. Insert ops
 /// carry whether the relation already existed (possibly empty) before
 /// the insert: `remove_row` prunes a relation whose last row goes, and
@@ -90,41 +107,127 @@ enum UndoOp {
     Count(String, Value, i64),
 }
 
-fn rollback(
+/// Support counts per relation and fact.
+type Counts = BTreeMap<String, BTreeMap<Value, i64>>;
+
+/// The session's mutable parts as one batch changes them: every change
+/// is journaled for [`Store::rollback`], and every state row change is
+/// reported to the session's indexes.
+struct Store<'a> {
+    edb: &'a mut Database,
+    state: &'a mut Database,
+    indexes: &'a mut IndexSet,
+    counts: &'a mut Counts,
     undo: Vec<UndoOp>,
-    edb: &mut Database,
-    state: &mut Database,
-    counts: &mut BTreeMap<String, BTreeMap<Value, i64>>,
-) {
-    for op in undo.into_iter().rev() {
-        match op {
-            UndoOp::StateAdd(p, r, had_rel) => {
-                state.remove_row(&p, &r);
-                if had_rel && !state.contains_relation(&p) {
-                    state.set(p, Instance::default());
+}
+
+impl Store<'_> {
+    fn contains(&self, pred: &str, row: &Value) -> bool {
+        self.state.get_ref(pred).is_some_and(|i| i.contains(row))
+    }
+
+    fn insert(&mut self, pred: &str, row: &Value) {
+        let had_rel = self.state.contains_relation(pred);
+        if self.state.insert_row(pred, row) {
+            if let Some(inst) = self.state.get_ref(pred) {
+                self.indexes.note_insert(pred, row, inst);
+            }
+        }
+        self.undo
+            .push(UndoOp::StateAdd(pred.to_owned(), row.clone(), had_rel));
+    }
+
+    fn remove(&mut self, pred: &str, row: &Value) {
+        self.state.remove_row(pred, row);
+        match self.state.get_ref(pred) {
+            Some(inst) => self.indexes.note_remove(pred, row, inst),
+            // the last row went and the relation with it
+            None => self.indexes.invalidate(pred),
+        }
+        self.undo
+            .push(UndoOp::StateDel(pred.to_owned(), row.clone()));
+    }
+
+    fn edb_insert(&mut self, rel: &str, row: &Value) {
+        let had_rel = self.edb.contains_relation(rel);
+        self.edb.insert_row(rel, row);
+        self.undo
+            .push(UndoOp::EdbAdd(rel.to_owned(), row.clone(), had_rel));
+    }
+
+    fn edb_remove(&mut self, rel: &str, row: &Value) {
+        self.edb.remove_row(rel, row);
+        self.undo.push(UndoOp::EdbDel(rel.to_owned(), row.clone()));
+    }
+
+    /// Add `delta` to a fact's support count; returns the old count.
+    fn add_count(&mut self, pred: &str, row: &Value, delta: i64) -> i64 {
+        let pc = self.counts.entry(pred.to_owned()).or_default();
+        let old = pc.get(row).copied().unwrap_or(0);
+        debug_assert!(old + delta >= 0, "support count of {pred} went negative");
+        if old + delta == 0 {
+            pc.remove(row);
+        } else {
+            pc.insert(row.clone(), old + delta);
+        }
+        self.undo
+            .push(UndoOp::Count(pred.to_owned(), row.clone(), old));
+        old
+    }
+
+    /// What a firing reads: the state, `log`, and the indexes, built on
+    /// demand.
+    fn reads<'b>(&'b mut self, log: &'b DeltaLog) -> Reads<'b> {
+        Reads {
+            state: self.state,
+            log,
+            indexes: IndexAccess::Build(self.indexes),
+        }
+    }
+
+    /// Replay the undo log backwards. The indexes of every state
+    /// relation touched are dropped rather than replayed: the next probe
+    /// rebuilds them from the restored rows.
+    fn rollback(self) {
+        let Store {
+            edb,
+            state,
+            indexes,
+            counts,
+            undo,
+        } = self;
+        for op in undo.into_iter().rev() {
+            match op {
+                UndoOp::StateAdd(p, r, had_rel) => {
+                    indexes.invalidate(&p);
+                    state.remove_row(&p, &r);
+                    if had_rel && !state.contains_relation(&p) {
+                        state.set(p, Instance::default());
+                    }
                 }
-            }
-            UndoOp::StateDel(p, r) => {
-                state.insert_row(&p, &r);
-            }
-            UndoOp::EdbAdd(p, r, had_rel) => {
-                edb.remove_row(&p, &r);
-                if had_rel && !edb.contains_relation(&p) {
-                    edb.set(p, Instance::default());
+                UndoOp::StateDel(p, r) => {
+                    indexes.invalidate(&p);
+                    state.insert_row(&p, &r);
                 }
-            }
-            UndoOp::EdbDel(p, r) => {
-                edb.insert_row(&p, &r);
-            }
-            UndoOp::Count(p, r, old) => {
-                let pc = counts.entry(p.clone()).or_default();
-                if old == 0 {
-                    pc.remove(&r);
-                } else {
-                    pc.insert(r, old);
+                UndoOp::EdbAdd(p, r, had_rel) => {
+                    edb.remove_row(&p, &r);
+                    if had_rel && !edb.contains_relation(&p) {
+                        edb.set(p, Instance::default());
+                    }
                 }
-                if pc.is_empty() {
-                    counts.remove(&p);
+                UndoOp::EdbDel(p, r) => {
+                    edb.insert_row(&p, &r);
+                }
+                UndoOp::Count(p, r, old) => {
+                    let pc = counts.entry(p.clone()).or_default();
+                    if old == 0 {
+                        pc.remove(&r);
+                    } else {
+                        pc.insert(r, old);
+                    }
+                    if pc.is_empty() {
+                        counts.remove(&p);
+                    }
                 }
             }
         }
@@ -224,22 +327,18 @@ impl DatalogSession {
             (_, IvmMode::Auto) => maintenance_plan(&prog),
         };
         let mut counts = BTreeMap::new();
+        let mut indexes = IndexSet::new();
         if let MaintPlan::Incremental(strata) = &plan {
             init_counts(
                 &prog,
                 strata,
                 &state,
+                &mut indexes,
                 &mut counts,
                 &mut guard,
                 &mut maint_stats,
             )
-            .map_err(|e| match e {
-                MaintErr::Trip(trip) => IvmError::Exhausted {
-                    trip,
-                    stats: maint_stats,
-                },
-                MaintErr::Dl(d) => IvmError::Datalog(d),
-            })?;
+            .map_err(|e| e.into_ivm(maint_stats))?;
         }
         Ok(DatalogSession {
             prog,
@@ -248,6 +347,7 @@ impl DatalogSession {
             governor,
             edb,
             state,
+            indexes,
             counts,
             build_stats,
             maint_stats,
@@ -311,9 +411,25 @@ impl DatalogSession {
         let mut stats = EvalStats::default();
         let mut guard = self.governor.guard(EngineId::Ivm);
         let mut fallback = false;
-        let (idb_added, idb_removed) = match self.plan.clone() {
+        let (idb_added, idb_removed) = match &self.plan {
             MaintPlan::Incremental(strata) => {
-                self.apply_incremental(&strata, &norm, &mut guard, &mut stats)?
+                let mut store = Store {
+                    edb: &mut self.edb,
+                    state: &mut self.state,
+                    indexes: &mut self.indexes,
+                    counts: &mut self.counts,
+                    undo: Vec::new(),
+                };
+                let trace = &self.governor.trace;
+                match run_incremental(
+                    &self.prog, strata, &norm, &mut store, &mut guard, &mut stats, trace,
+                ) {
+                    Ok(pair) => pair,
+                    Err(e) => {
+                        store.rollback();
+                        return Err(e.into_ivm(stats));
+                    }
+                }
             }
             MaintPlan::Recompute(_) => {
                 fallback = true;
@@ -359,71 +475,20 @@ impl DatalogSession {
         }
     }
 
-    fn apply_incremental(
-        &mut self,
-        strata: &[MaintStratum],
-        norm: &NormalBatch,
-        guard: &mut Guard,
-        stats: &mut EvalStats,
-    ) -> Result<(u64, u64), IvmError> {
-        let mut undo: Vec<UndoOp> = Vec::new();
-        let res = run_incremental(
-            &self.prog,
-            strata,
-            norm,
-            &mut self.edb,
-            &mut self.state,
-            &mut self.counts,
-            guard,
-            stats,
-            &mut undo,
-            &self.governor.trace,
-        );
-        match res {
-            Ok(pair) => Ok(pair),
-            Err(e) => {
-                rollback(undo, &mut self.edb, &mut self.state, &mut self.counts);
-                Err(match e {
-                    MaintErr::Trip(trip) => IvmError::Exhausted {
-                        trip,
-                        stats: *stats,
-                    },
-                    MaintErr::Dl(d) => IvmError::Datalog(d),
-                })
-            }
-        }
-    }
-
     fn apply_recompute(
         &mut self,
         norm: &NormalBatch,
         stats: &mut EvalStats,
     ) -> Result<(u64, u64), IvmError> {
-        let mut undo: Vec<UndoOp> = Vec::new();
-        for (rel, rows) in &norm.removed {
-            for row in rows.iter() {
-                self.edb.remove_row(rel, row);
-                undo.push(UndoOp::EdbDel(rel.clone(), row.clone()));
-            }
-        }
-        for (rel, rows) in &norm.added {
-            for row in rows.iter() {
-                let had_rel = self.edb.contains_relation(rel);
-                self.edb.insert_row(rel, row);
-                undo.push(UndoOp::EdbAdd(rel.clone(), row.clone(), had_rel));
-            }
-        }
+        let mut edb = self.edb.clone();
+        norm.apply_to(&mut edb);
         let mut fresh = EvalStats::default();
-        match eval(
-            &self.prog,
-            self.semantics,
-            &self.edb,
-            &self.governor,
-            &mut fresh,
-        ) {
+        match eval(&self.prog, self.semantics, &edb, &self.governor, &mut fresh) {
             Ok(new_state) => {
                 let (added, removed) = db_diff(&self.state, &new_state);
+                self.edb = edb;
                 self.state = new_state;
+                self.indexes = IndexSet::new();
                 self.build_stats = fresh;
                 stats.absorb(&fresh);
                 Ok((
@@ -431,19 +496,11 @@ impl DatalogSession {
                     removed.saturating_sub(norm.retracted()),
                 ))
             }
-            Err(e) => {
-                rollback(undo, &mut self.edb, &mut self.state, &mut self.counts);
-                Err(match e {
-                    DlError::Exhausted(ex) => {
-                        let ex = *ex;
-                        IvmError::Exhausted {
-                            trip: ex.trip,
-                            stats: ex.stats,
-                        }
-                    }
-                    other => IvmError::Datalog(other),
-                })
-            }
+            Err(DlError::Exhausted(ex)) => Err(IvmError::Exhausted {
+                trip: ex.trip,
+                stats: ex.stats,
+            }),
+            Err(other) => Err(IvmError::Datalog(other)),
         }
     }
 }
@@ -474,28 +531,25 @@ fn init_counts(
     prog: &DatalogProgram,
     strata: &[MaintStratum],
     state: &Database,
-    counts: &mut BTreeMap<String, BTreeMap<Value, i64>>,
+    indexes: &mut IndexSet,
+    counts: &mut Counts,
     guard: &mut Guard,
     stats: &mut EvalStats,
 ) -> Result<(), MaintErr> {
     let log = DeltaLog::default();
+    let mut reads = Reads {
+        state,
+        log: &log,
+        indexes: IndexAccess::Build(indexes),
+    };
     for stratum in strata {
         if stratum.plan != StratumPlan::Counting {
             continue;
         }
-        let mut cache = BTreeMap::new();
         for &ri in &stratum.rules {
             guard.step()?;
             let rule = &prog.rules[ri];
-            let bs = body_bindings(
-                rule,
-                &HashMap::new(),
-                View::New,
-                state,
-                &log,
-                &mut cache,
-                stats,
-            )?;
+            let bs = body_bindings(rule, HashMap::new(), View::New, &mut reads, stats)?;
             for b in &bs {
                 let row = head_row(rule, b)?;
                 *counts
@@ -524,35 +578,26 @@ fn run_incremental(
     prog: &DatalogProgram,
     strata: &[MaintStratum],
     norm: &NormalBatch,
-    edb: &mut Database,
-    state: &mut Database,
-    counts: &mut BTreeMap<String, BTreeMap<Value, i64>>,
+    store: &mut Store<'_>,
     guard: &mut Guard,
     stats: &mut EvalStats,
-    undo: &mut Vec<UndoOp>,
     trace: &TraceHandle,
 ) -> Result<(u64, u64), MaintErr> {
-    guard.set_fact_base(total_facts(state))?;
+    guard.set_fact_base(total_facts(store.state))?;
     let mut log = DeltaLog::default();
     // 1. the EDB delta itself (state carries EDB relations too)
     for (rel, rows) in &norm.removed {
         for row in rows.iter() {
-            state.remove_row(rel, row);
-            undo.push(UndoOp::StateDel(rel.clone(), row.clone()));
-            edb.remove_row(rel, row);
-            undo.push(UndoOp::EdbDel(rel.clone(), row.clone()));
+            store.remove(rel, row);
+            store.edb_remove(rel, row);
             guard.remove_fact()?;
             log.note_remove(rel, row.clone());
         }
     }
     for (rel, rows) in &norm.added {
         for row in rows.iter() {
-            let had_state_rel = state.contains_relation(rel);
-            state.insert_row(rel, row);
-            undo.push(UndoOp::StateAdd(rel.clone(), row.clone(), had_state_rel));
-            let had_edb_rel = edb.contains_relation(rel);
-            edb.insert_row(rel, row);
-            undo.push(UndoOp::EdbAdd(rel.clone(), row.clone(), had_edb_rel));
+            store.insert(rel, row);
+            store.edb_insert(rel, row);
             guard.add_fact()?;
             log.note_add(rel, row.clone());
         }
@@ -563,14 +608,12 @@ fn run_incremental(
     for (si, stratum) in strata.iter().enumerate() {
         match stratum.plan {
             StratumPlan::Counting => {
-                let (a, r) = maintain_counting(
-                    prog, stratum, edb, state, counts, &mut log, guard, stats, undo,
-                )?;
+                let (a, r) = maintain_counting(prog, stratum, store, &mut log, guard, stats)?;
                 idb_added += a;
                 idb_removed += r;
             }
             StratumPlan::DRed => {
-                let out = maintain_dred(prog, stratum, edb, state, &mut log, guard, stats, undo)?;
+                let out = maintain_dred(prog, stratum, store, &mut log, guard, stats)?;
                 idb_added += out.added;
                 idb_removed += out.removed;
                 if out.overdeleted > 0 || out.reinserted > 0 {
@@ -586,7 +629,7 @@ fn run_incremental(
             }
         }
     }
-    stats.observe_facts(total_facts(state));
+    stats.observe_facts(total_facts(store.state));
     Ok((idb_added, idb_removed))
 }
 
@@ -594,22 +637,17 @@ fn run_incremental(
 /// derivation-count deltas through the telescoped delta rules, then
 /// apply them. A fact is present iff it is EDB-seeded or its count is
 /// positive.
-#[allow(clippy::too_many_arguments)]
 fn maintain_counting(
     prog: &DatalogProgram,
     stratum: &MaintStratum,
-    edb: &Database,
-    state: &mut Database,
-    counts: &mut BTreeMap<String, BTreeMap<Value, i64>>,
+    store: &mut Store<'_>,
     log: &mut DeltaLog,
     guard: &mut Guard,
     stats: &mut EvalStats,
-    undo: &mut Vec<UndoOp>,
 ) -> Result<(u64, u64), MaintErr> {
     if !stratum_touched(prog, stratum, log) {
         return Ok((0, 0));
     }
-    let mut cache = BTreeMap::new();
     let mut signed: BTreeMap<(String, Value), i64> = BTreeMap::new();
     for &ri in &stratum.rules {
         let rule = &prog.rules[ri];
@@ -629,17 +667,8 @@ fn maintain_counting(
                     continue;
                 }
                 guard.step()?;
-                let bs = delta_bindings(
-                    rule,
-                    i,
-                    rows,
-                    View::New,
-                    View::Old,
-                    state,
-                    log,
-                    &mut cache,
-                    stats,
-                )?;
+                let mut reads = store.reads(log);
+                let bs = delta_bindings(rule, i, rows, View::New, View::Old, &mut reads, stats)?;
                 for b in &bs {
                     let row = head_row(rule, b)?;
                     *signed.entry((rule.head.pred.clone(), row)).or_insert(0) += sign;
@@ -654,35 +683,24 @@ fn maintain_counting(
         if delta == 0 {
             continue;
         }
-        let pc = counts.entry(pred.clone()).or_default();
-        let old = pc.get(&row).copied().unwrap_or(0);
+        let old = store.add_count(&pred, &row, delta);
         let new = old + delta;
-        debug_assert!(new >= 0, "support count of {pred} went negative");
-        undo.push(UndoOp::Count(pred.clone(), row.clone(), old));
-        if new == 0 {
-            pc.remove(&row);
-        } else {
-            pc.insert(row.clone(), new);
-        }
-        let seeded = edb.get_ref(&pred).is_some_and(|i| i.contains(&row));
+        let seeded = store.edb.get_ref(&pred).is_some_and(|i| i.contains(&row));
         let was = old > 0 || seeded;
         let now = new > 0 || seeded;
         if was && !now {
-            state.remove_row(&pred, &row);
-            undo.push(UndoOp::StateDel(pred.clone(), row.clone()));
+            store.remove(&pred, &row);
             guard.remove_fact()?;
             log.note_remove(&pred, row);
             removed += 1;
         } else if !was && now {
-            let had_rel = state.contains_relation(&pred);
-            state.insert_row(&pred, &row);
-            undo.push(UndoOp::StateAdd(pred.clone(), row.clone(), had_rel));
+            store.insert(&pred, &row);
             guard.add_fact()?;
             log.note_add(&pred, row);
             added += 1;
         }
     }
-    stats.observe_facts(total_facts(state));
+    stats.observe_facts(total_facts(store.state));
     Ok((added, removed))
 }
 
@@ -698,19 +716,15 @@ struct DredOut {
 fn consider_delete(
     pred: &str,
     row: Value,
-    state: &Database,
-    edb: &Database,
+    store: &Store<'_>,
     deleted: &mut BTreeMap<String, BTreeSet<Value>>,
-    pending: &mut BTreeMap<String, BTreeSet<Value>>,
+    pending: &mut Pending,
 ) {
-    if !state.get_ref(pred).is_some_and(|i| i.contains(&row)) {
-        return;
-    }
     // an EDB-seeded fact is an axiom, never a deletion candidate
-    if edb.get_ref(pred).is_some_and(|i| i.contains(&row)) {
-        return;
-    }
-    if deleted.get(pred).is_some_and(|s| s.contains(&row)) {
+    if !store.contains(pred, &row)
+        || store.edb.get_ref(pred).is_some_and(|i| i.contains(&row))
+        || deleted.get(pred).is_some_and(|s| s.contains(&row))
+    {
         return;
     }
     deleted
@@ -726,11 +740,9 @@ fn rederivable(
     stratum: &MaintStratum,
     pred: &str,
     row: &Value,
-    state: &Database,
+    reads: &mut Reads<'_>,
     stats: &mut EvalStats,
 ) -> Result<bool, DlError> {
-    let log = DeltaLog::default();
-    let mut cache = BTreeMap::new();
     for &ri in &stratum.rules {
         let rule = &prog.rules[ri];
         if rule.head.pred != pred {
@@ -739,12 +751,69 @@ fn rederivable(
         let Some(seed) = head_binding(&rule.head, row) else {
             continue;
         };
-        let bs = body_bindings(rule, &seed, View::New, state, &log, &mut cache, stats)?;
-        if !bs.is_empty() {
+        if !body_bindings(rule, seed, View::New, reads, stats)?.is_empty() {
             return Ok(true);
         }
     }
     Ok(false)
+}
+
+/// Derived rows per relation awaiting the next semi-naive round.
+type Pending = BTreeMap<String, BTreeSet<Value>>;
+
+/// Fire the stratum's delta rules with both sides at `view`: first at
+/// every body position `seed` restricts to a non-empty row set, then
+/// semi-naively, each round at the stratum's positive literals
+/// restricted to the rows the previous round left pending. Every derived
+/// head row goes to `sink`, which decides whether it becomes pending.
+#[allow(clippy::too_many_arguments)]
+fn propagate<'l>(
+    prog: &DatalogProgram,
+    stratum: &MaintStratum,
+    seed: impl Fn(&DlLiteral) -> Option<&'l BTreeSet<Value>>,
+    view: View,
+    store: &mut Store<'_>,
+    log: &DeltaLog,
+    guard: &mut Guard,
+    stats: &mut EvalStats,
+    mut sink: impl FnMut(&str, Value, &mut Store<'_>, &mut Guard, &mut Pending) -> Result<(), MaintErr>,
+) -> Result<(), MaintErr> {
+    let mut round: Option<Pending> = None;
+    loop {
+        let mut pending = Pending::new();
+        for &ri in &stratum.rules {
+            let rule = &prog.rules[ri];
+            for (i, lit) in rule.body.iter().enumerate() {
+                let rows = match &round {
+                    None => seed(lit),
+                    Some(cur) if lit.positive && stratum.preds.contains(&lit.atom.pred) => {
+                        cur.get(&lit.atom.pred)
+                    }
+                    Some(_) => None,
+                };
+                let Some(rows) = rows.filter(|rows| !rows.is_empty()) else {
+                    continue;
+                };
+                guard.step()?;
+                let mut reads = store.reads(log);
+                let bs = delta_bindings(rule, i, rows, view, view, &mut reads, stats)?;
+                for b in &bs {
+                    sink(
+                        &rule.head.pred,
+                        head_row(rule, b)?,
+                        store,
+                        guard,
+                        &mut pending,
+                    )?;
+                }
+            }
+        }
+        if pending.values().all(BTreeSet::is_empty) {
+            return Ok(());
+        }
+        stats.rounds += 1;
+        round = Some(pending);
+    }
 }
 
 /// Delete-and-rederive for one recursive stratum.
@@ -754,99 +823,48 @@ fn rederivable(
 /// relations read correctly), excluding EDB-seeded axioms. Phase 2
 /// repeatedly re-checks the deleted facts against the current state —
 /// each pass is embarrassingly parallel over candidates and is sharded
-/// across the guard's workers, with per-candidate counters absorbed in
-/// canonical order so the result and stats are identical at any width.
-/// Phase 3 seeds insertions from the lower relations' gains and
-/// propagates them semi-naively within the stratum.
-#[allow(clippy::too_many_arguments)]
+/// across the guard's workers over indexes prebuilt for it, with
+/// per-candidate counters absorbed in canonical order so the result and
+/// stats are identical at any width. Phase 3 seeds insertions from the
+/// lower relations' gains and propagates them semi-naively within the
+/// stratum.
 fn maintain_dred(
     prog: &DatalogProgram,
     stratum: &MaintStratum,
-    edb: &Database,
-    state: &mut Database,
+    store: &mut Store<'_>,
     log: &mut DeltaLog,
     guard: &mut Guard,
     stats: &mut EvalStats,
-    undo: &mut Vec<UndoOp>,
 ) -> Result<DredOut, MaintErr> {
     let mut out = DredOut::default();
     if !stratum_touched(prog, stratum, log) {
         return Ok(out);
     }
+    let lower = |lit: &DlLiteral| !stratum.preds.contains(&lit.atom.pred);
 
     // ---- phase 1: over-delete at old views -------------------------
-    let mut cache = BTreeMap::new();
     let mut deleted: BTreeMap<String, BTreeSet<Value>> = BTreeMap::new();
-    let mut pending: BTreeMap<String, BTreeSet<Value>> = BTreeMap::new();
-    for &ri in &stratum.rules {
-        let rule = &prog.rules[ri];
-        for (i, lit) in rule.body.iter().enumerate() {
-            if stratum.preds.contains(&lit.atom.pred) {
-                continue;
-            }
-            let Some(d) = log.delta(&lit.atom.pred) else {
-                continue;
-            };
-            let loss = if lit.positive { &d.removed } else { &d.added };
-            if loss.is_empty() {
-                continue;
-            }
-            guard.step()?;
-            let bs = delta_bindings(
-                rule,
-                i,
-                loss,
-                View::Old,
-                View::Old,
-                state,
-                log,
-                &mut cache,
-                stats,
-            )?;
-            for b in &bs {
-                let row = head_row(rule, b)?;
-                consider_delete(&rule.head.pred, row, state, edb, &mut deleted, &mut pending);
-            }
-        }
-    }
-    while pending.values().any(|s| !s.is_empty()) {
-        let cur = std::mem::take(&mut pending);
-        stats.rounds += 1;
-        for &ri in &stratum.rules {
-            let rule = &prog.rules[ri];
-            for (i, lit) in rule.body.iter().enumerate() {
-                if !lit.positive || !stratum.preds.contains(&lit.atom.pred) {
-                    continue;
-                }
-                let Some(rows) = cur.get(&lit.atom.pred) else {
-                    continue;
-                };
-                if rows.is_empty() {
-                    continue;
-                }
-                guard.step()?;
-                let bs = delta_bindings(
-                    rule,
-                    i,
-                    rows,
-                    View::Old,
-                    View::Old,
-                    state,
-                    log,
-                    &mut cache,
-                    stats,
-                )?;
-                for b in &bs {
-                    let row = head_row(rule, b)?;
-                    consider_delete(&rule.head.pred, row, state, edb, &mut deleted, &mut pending);
-                }
-            }
-        }
-    }
+    let losses = |lit: &DlLiteral| {
+        let d = log.delta(&lit.atom.pred).filter(|_| lower(lit))?;
+        Some(if lit.positive { &d.removed } else { &d.added })
+    };
+    propagate(
+        prog,
+        stratum,
+        losses,
+        View::Old,
+        store,
+        log,
+        guard,
+        stats,
+        |pred, row, store, _, pending| {
+            consider_delete(pred, row, store, &mut deleted, pending);
+            Ok(())
+        },
+    )?;
     for (pred, rows) in &deleted {
         for row in rows {
-            state.remove_row(pred, row);
-            undo.push(UndoOp::StateDel(pred.clone(), row.clone()));
+            store.remove(pred, row);
             guard.remove_fact()?;
             out.overdeleted += 1;
         }
@@ -858,43 +876,34 @@ fn maintain_dred(
         .flat_map(|(p, rs)| rs.iter().map(move |r| (p.clone(), r.clone())))
         .collect();
     let workers = guard.workers();
+    let rules = stratum.rules.iter().map(|&ri| &prog.rules[ri]);
     while !remaining.is_empty() {
         stats.rounds += 1;
-        let frozen: &Database = state;
-        let results: Vec<(Result<bool, DlError>, EvalStats)> = if workers > 1 && remaining.len() > 1
-        {
-            par_map(workers, &remaining, |_, (pred, row)| {
-                let mut s = EvalStats::default();
-                let ok = rederivable(prog, stratum, pred, row, frozen, &mut s);
-                (ok, s)
-            })
-        } else {
-            remaining
-                .iter()
-                .map(|(pred, row)| {
-                    let mut s = EvalStats::default();
-                    let ok = rederivable(prog, stratum, pred, row, frozen, &mut s);
-                    (ok, s)
-                })
-                .collect()
-        };
+        prebuild_rederive(rules.clone(), store.state, store.indexes);
+        let (state, indexes) = (&*store.state, &*store.indexes);
+        let results = par_map(workers, &remaining, |_, (pred, row)| {
+            let mut reads = Reads {
+                state,
+                log,
+                indexes: IndexAccess::Prebuilt(indexes),
+            };
+            let mut s = EvalStats::default();
+            let ok = rederivable(prog, stratum, pred, row, &mut reads, &mut s);
+            (ok, s)
+        });
         let mut alive = Vec::new();
         let mut progressed = false;
         for ((pred, row), (ok, s)) in remaining.into_iter().zip(results) {
             stats.absorb(&s);
             guard.step()?;
-            match ok {
-                Err(e) => return Err(MaintErr::Dl(e)),
-                Ok(true) => {
-                    let had_rel = state.contains_relation(&pred);
-                    state.insert_row(&pred, &row);
-                    undo.push(UndoOp::StateAdd(pred.clone(), row.clone(), had_rel));
-                    guard.add_fact()?;
-                    out.rederived += 1;
-                    out.reinserted += 1;
-                    progressed = true;
-                }
-                Ok(false) => alive.push((pred, row)),
+            if ok? {
+                store.insert(&pred, &row);
+                guard.add_fact()?;
+                out.rederived += 1;
+                out.reinserted += 1;
+                progressed = true;
+            } else {
+                alive.push((pred, row));
             }
         }
         remaining = alive;
@@ -904,95 +913,29 @@ fn maintain_dred(
     }
 
     // ---- phase 3: insertions, semi-naive within the stratum --------
-    let mut cache3 = BTreeMap::new();
-    let mut pending: BTreeMap<String, BTreeSet<Value>> = BTreeMap::new();
     let mut inserted_rows: Vec<(String, Value)> = Vec::new();
-    for &ri in &stratum.rules {
-        let rule = &prog.rules[ri];
-        for (i, lit) in rule.body.iter().enumerate() {
-            if stratum.preds.contains(&lit.atom.pred) {
-                continue;
-            }
-            let Some(d) = log.delta(&lit.atom.pred) else {
-                continue;
-            };
-            let gain = if lit.positive { &d.added } else { &d.removed };
-            if gain.is_empty() {
-                continue;
-            }
-            guard.step()?;
-            let bs = delta_bindings(
-                rule,
-                i,
-                gain,
-                View::New,
-                View::New,
-                state,
-                log,
-                &mut cache3,
-                stats,
-            )?;
-            for b in &bs {
-                let row = head_row(rule, b)?;
-                insert_new(
-                    &rule.head.pred,
-                    row,
-                    state,
-                    undo,
-                    guard,
-                    &mut pending,
-                    &mut inserted_rows,
-                )?;
-            }
-        }
-    }
-    while pending.values().any(|s| !s.is_empty()) {
-        let cur = std::mem::take(&mut pending);
-        stats.rounds += 1;
-        for &ri in &stratum.rules {
-            let rule = &prog.rules[ri];
-            for (i, lit) in rule.body.iter().enumerate() {
-                if !lit.positive || !stratum.preds.contains(&lit.atom.pred) {
-                    continue;
-                }
-                let Some(rows) = cur.get(&lit.atom.pred) else {
-                    continue;
-                };
-                if rows.is_empty() {
-                    continue;
-                }
-                guard.step()?;
-                let bs = delta_bindings(
-                    rule,
-                    i,
-                    rows,
-                    View::New,
-                    View::New,
-                    state,
-                    log,
-                    &mut cache3,
-                    stats,
-                )?;
-                for b in &bs {
-                    let row = head_row(rule, b)?;
-                    insert_new(
-                        &rule.head.pred,
-                        row,
-                        state,
-                        undo,
-                        guard,
-                        &mut pending,
-                        &mut inserted_rows,
-                    )?;
-                }
-            }
-        }
-    }
+    let gains = |lit: &DlLiteral| {
+        let d = log.delta(&lit.atom.pred).filter(|_| lower(lit))?;
+        Some(if lit.positive { &d.added } else { &d.removed })
+    };
+    propagate(
+        prog,
+        stratum,
+        gains,
+        View::New,
+        store,
+        log,
+        guard,
+        stats,
+        |pred, row, store, guard, pending| {
+            insert_new(pred, row, store, guard, pending, &mut inserted_rows)
+        },
+    )?;
 
     // ---- net bookkeeping for downstream strata ---------------------
     for (pred, rows) in &deleted {
         for row in rows {
-            if !state.get_ref(pred).is_some_and(|i| i.contains(row)) {
+            if !store.contains(pred, row) {
                 log.note_remove(pred, row.clone());
                 out.removed += 1;
             }
@@ -1006,25 +949,22 @@ fn maintain_dred(
             out.added += 1;
         }
     }
-    stats.observe_facts(total_facts(state));
+    stats.observe_facts(total_facts(store.state));
     Ok(out)
 }
 
 fn insert_new(
     pred: &str,
     row: Value,
-    state: &mut Database,
-    undo: &mut Vec<UndoOp>,
+    store: &mut Store<'_>,
     guard: &mut Guard,
-    pending: &mut BTreeMap<String, BTreeSet<Value>>,
+    pending: &mut Pending,
     inserted: &mut Vec<(String, Value)>,
 ) -> Result<(), MaintErr> {
-    if state.get_ref(pred).is_some_and(|i| i.contains(&row)) {
+    if store.contains(pred, &row) {
         return Ok(());
     }
-    let had_rel = state.contains_relation(pred);
-    state.insert_row(pred, &row);
-    undo.push(UndoOp::StateAdd(pred.to_owned(), row.clone(), had_rel));
+    store.insert(pred, &row);
     guard.add_fact()?;
     pending
         .entry(pred.to_owned())
@@ -1251,6 +1191,48 @@ mod tests {
         assert_eq!(tight_session.state(), &before_state, "state rolled back");
         assert_eq!(tight_session.edb(), &before_edb, "edb rolled back");
         drop(s);
+    }
+
+    #[test]
+    fn rollback_leaves_no_stale_index_behind() {
+        // two paths 0..7 and 8..15; joining them derives 64 new T facts
+        let prog = tc();
+        let mut db = path_db(16);
+        db.remove_row("E", &edge(7, 8));
+        let facts = total_facts(&recompute(&prog, &db, Semantics::StratifiedSeminaive));
+        let gov = Governor::new(Budget::unlimited().with_facts(facts + 10))
+            .with_ckpt_config(uset_guard::CkptConfig::Off)
+            .with_par(uset_par::ParConfig::workers(4));
+        let mut s = DatalogSession::with_mode(
+            prog.clone(),
+            &db,
+            Semantics::StratifiedSeminaive,
+            &gov,
+            IvmMode::Auto,
+        )
+        .unwrap();
+        let before = s.state().clone();
+        // an insert-only batch trips the facts budget in DRed phase 3,
+        // after its insertions reached the session's indexes
+        let err = s
+            .apply(&DeltaBatch::new().insert("E", edge(7, 8)))
+            .unwrap_err();
+        assert!(
+            matches!(&err, IvmError::Exhausted { trip, .. } if trip.resource == uset_guard::Resource::Facts),
+            "{err}"
+        );
+        assert_eq!(s.state(), &before);
+        // a retraction then over-deletes and rederives — in parallel,
+        // over prebuilt indexes — from the rolled-back state
+        let rep = s
+            .apply(&DeltaBatch::new().retract("E", edge(3, 4)))
+            .unwrap();
+        assert_eq!(
+            s.state(),
+            &recompute(&prog, s.edb(), Semantics::StratifiedSeminaive)
+        );
+        assert_eq!(rep.stats.scan_fallbacks, 0);
+        assert!(rep.stats.index_probes > 0);
     }
 
     #[test]
