@@ -6,10 +6,9 @@
 //!
 //! * `calc_nested_forall` — a powerset-heavy calculus query: the bound
 //!   variable ranges over `{{U}}` while an inner `∀x : {{{U}}}` re-visits
-//!   a 65 536-member domain per candidate. With the pool on, the
-//!   domain-enumeration cache keys those members by id and enumerates
-//!   once; with it off every candidate re-enumerates and re-compares
-//!   tree-form. Expected ≥2×.
+//!   a 65 536-member domain per candidate. The calculus evaluates on ids
+//!   in a pool of its own whatever the knob says, so both sides run the
+//!   same code: expected ≈1× (the row stays as a control).
 //! * `datalog_tc_path64_chain` — non-linear transitive closure on a
 //!   64-node path whose vertices are depth-i singleton chains (the
 //!   untyped-set integer encoding). The saturating fixpoint re-derives
@@ -111,10 +110,7 @@ fn measure(label: &str, samples: usize, mut f: impl FnMut() -> usize) -> Measure
 /// `s : {{U}}` such that `D(s) ∧ ∀x : {{{U}}}. ¬R(x)`, over R = two
 /// atoms and D = all 16 members of `{{U}}` as unary rows. The inner
 /// quantifier supplies the powerset blow-up (65 536-member domain,
-/// re-enumerated per candidate without the pool's domain cache); the
-/// `D(s)` probe keeps the pool's id sidecar on the membership path —
-/// D is exactly at the sidecar threshold, so each probe answers by
-/// interned id.
+/// enumerated once per call into the evaluator's own pool).
 fn calc_nested_forall() -> Measurement {
     let nested2 = RType::Set(Box::new(RType::Set(Box::new(RType::Atomic))));
     let nested3 = RType::Set(Box::new(nested2.clone()));

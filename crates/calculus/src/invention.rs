@@ -27,7 +27,7 @@ use uset_guard::trace::span::{engine_end, engine_start};
 use uset_guard::trace::TraceEvent;
 use uset_guard::{EngineId, Governor, Guard, Trip};
 use uset_object::flatten::Inventor;
-use uset_object::{intern, Atom, Database, EvalStats, Instance};
+use uset_object::{Atom, Database, EvalStats, Instance, Value};
 use uset_par::try_par_map;
 
 /// Engine label carried by every invention trace event. Rounds are
@@ -133,14 +133,14 @@ pub fn eval_with_invention(
     eval_query_over(q, db, &atoms, config)
 }
 
-/// Delete objects containing invented values (the `Q|_i` step). With the
-/// pool enabled the per-object test reads the cached `invented` bit off
-/// the interned node instead of materializing `adom()`.
+/// Delete objects containing invented values (the `Q|_i` step).
 pub fn strip_invented(inst: &Instance) -> Instance {
-    inst.iter()
-        .filter(|v| !intern::fast_has_invented(v))
-        .cloned()
-        .collect()
+    inst.iter().filter(|v| !has_invented(v)).cloned().collect()
+}
+
+/// True iff `v` mentions an invented atom.
+fn has_invented(v: &Value) -> bool {
+    v.adom().into_iter().any(Inventor::is_invented)
 }
 
 /// `⋃_{0 ≤ i ≤ budget} Q|_i[d]` — the finite-invention semantics,
@@ -371,7 +371,7 @@ pub fn eval_terminal_governed(
                 value_hwm,
                 wall_micros: round_t0.map_or(0, |t| t.elapsed().as_micros() as u64),
             });
-            let has_invented = raw.iter().any(intern::fast_has_invented);
+            let has_invented = raw.iter().any(has_invented);
             if has_invented {
                 engine_end(ENGINE, &trace, guard.steps(), run_start);
                 if let Some(sess) = session.as_mut() {

@@ -15,6 +15,7 @@
 
 use crate::atom::Atom;
 use crate::error::{ObjectError, Result};
+use crate::intern::{Meta, ObjRef, Pool};
 use crate::rtype::Type;
 use crate::value::Value;
 use std::collections::BTreeSet;
@@ -22,21 +23,31 @@ use uset_par::{par_map, split_range};
 
 /// Enumerate `cons_T(X)` for a strict type, failing if the result would
 /// exceed `limit` elements (the sizes involved are hyper-exponential).
+///
+/// This is [`cons_type_par`] into a private pool, with each id resolved
+/// to its tree form: the members share every subtree in the pool, and
+/// only the returned values are trees.
 pub fn cons_type(ty: &Type, atoms: &BTreeSet<Atom>, limit: usize) -> Result<Vec<Value>> {
-    let out = cons_type_inner(ty, atoms, limit)?;
-    Ok(out)
+    let pool = Pool::new();
+    let ids = cons_type_par(ty, atoms, limit, 1, &pool)?;
+    Ok(ids.into_iter().map(|r| pool.resolve(r)).collect())
 }
 
-/// [`cons_type`] with the outermost constructor's candidate space split
-/// across `workers` threads.
+/// Enumerate `cons_T(X)` as ids interned into `pool`, with the outermost
+/// constructor's candidate space split across `workers` threads.
+///
+/// An atom is [`Pool::intern_atom`]; a set is one [`Pool::set_of_sorted`]
+/// per subset mask (bit `i` selects the inner domain's `i`-th member); a
+/// tuple is one [`Pool::tuple_of`] per mixed-radix row index (the last
+/// column varies fastest). Inner domains are shared ids, so the whole
+/// domain is a DAG whose size is the member count, not the tree size.
 ///
 /// The outermost set or tuple constructor dominates the enumeration (each
 /// nesting level squares-or-worse the count), so only it is parallelized:
-/// its index space — subset masks for a set, mixed-radix row indexes for a
-/// tuple — is split into contiguous ranges via [`split_range`] and each
-/// worker materializes its range in order. Concatenating the ranges
-/// reproduces the sequential enumeration order exactly, so the result is
-/// identical to [`cons_type`] at every width (including the error cases:
+/// its index space is split into contiguous ranges via [`split_range`]
+/// and each worker interns its range in order. Concatenating the ranges
+/// reproduces the sequential order exactly, so the result names the same
+/// values in the same order at every width (including the error cases:
 /// all size prediction happens before any fan-out). `workers <= 1` *is*
 /// the sequential path.
 pub fn cons_type_par(
@@ -44,53 +55,12 @@ pub fn cons_type_par(
     atoms: &BTreeSet<Atom>,
     limit: usize,
     workers: usize,
-) -> Result<Vec<Value>> {
-    if workers <= 1 {
-        return cons_type(ty, atoms, limit);
-    }
+    pool: &Pool,
+) -> Result<Vec<ObjRef>> {
     match ty {
-        Type::Atomic => cons_type(ty, atoms, limit),
+        Type::Atomic => Ok(atoms.iter().map(|&a| pool.intern_atom(a)).collect()),
         Type::Set(inner) => {
-            let members = cons_type_inner(inner, atoms, limit)?;
-            let predicted = 1u128.checked_shl(members.len() as u32);
-            if predicted.is_none_or(|p| p > limit as u128) {
-                return Err(ObjectError::BoundExceeded {
-                    what: "cons_T powerset",
-                    bound: limit,
-                });
-            }
-            Ok(powerset_par(&members, workers))
-        }
-        Type::Tuple(items) => {
-            let columns: Vec<Vec<Value>> = items
-                .iter()
-                .map(|t| cons_type_inner(t, atoms, limit))
-                .collect::<Result<_>>()?;
-            let mut total: usize = 1;
-            for c in &columns {
-                total = total
-                    .checked_mul(c.len().max(1))
-                    .ok_or(ObjectError::BoundExceeded {
-                        what: "cons_T product",
-                        bound: limit,
-                    })?;
-            }
-            if total > limit {
-                return Err(ObjectError::BoundExceeded {
-                    what: "cons_T product",
-                    bound: limit,
-                });
-            }
-            Ok(cartesian_par(&columns, workers))
-        }
-    }
-}
-
-fn cons_type_inner(ty: &Type, atoms: &BTreeSet<Atom>, limit: usize) -> Result<Vec<Value>> {
-    match ty {
-        Type::Atomic => Ok(atoms.iter().map(|a| Value::Atom(*a)).collect()),
-        Type::Set(inner) => {
-            let members = cons_type_inner(inner, atoms, limit)?;
+            let members = cons_type_par(inner, atoms, limit, 1, pool)?;
             // predict 2^n in u128 so the check itself cannot overflow; a
             // member count ≥ 128 (unshiftable even in u128) is certainly
             // over any materializable limit
@@ -101,12 +71,22 @@ fn cons_type_inner(ty: &Type, atoms: &BTreeSet<Atom>, limit: usize) -> Result<Ve
                     bound: limit,
                 });
             }
-            Ok(powerset(&members))
+            // visit the members in structural order, so each subset's
+            // children come out ascending as a set node stores them
+            let mut order: Vec<usize> = (0..members.len()).collect();
+            order.sort_by(|&i, &j| pool.cmp_refs(members[i], members[j]));
+            let metas: Vec<Meta> = order.iter().map(|&i| pool.meta(members[i])).collect();
+            Ok(indexed(1 << members.len(), workers, |mask: usize| {
+                let picked = || (0..order.len()).filter(|&k| mask & (1 << order[k]) != 0);
+                let mut children = Vec::with_capacity(mask.count_ones() as usize);
+                children.extend(picked().map(|k| members[order[k]]));
+                pool.set_of_sorted_with(children, picked().map(|k| metas[k]))
+            }))
         }
         Type::Tuple(items) => {
-            let columns: Vec<Vec<Value>> = items
+            let columns: Vec<Vec<ObjRef>> = items
                 .iter()
-                .map(|t| cons_type_inner(t, atoms, limit))
+                .map(|t| cons_type_par(t, atoms, limit, 1, pool))
                 .collect::<Result<_>>()?;
             let mut total: usize = 1;
             for c in &columns {
@@ -123,9 +103,35 @@ fn cons_type_inner(ty: &Type, atoms: &BTreeSet<Atom>, limit: usize) -> Result<Ve
                     bound: limit,
                 });
             }
-            Ok(cartesian(&columns))
+            let rows = columns.iter().map(Vec::len).product();
+            Ok(indexed(rows, workers, |idx| {
+                let mut row = Vec::with_capacity(columns.len());
+                let mut rem = idx;
+                for col in columns.iter().rev() {
+                    row.push(col[rem % col.len()]);
+                    rem /= col.len();
+                }
+                row.reverse();
+                pool.tuple_of(&row)
+            }))
         }
     }
+}
+
+/// `f(0), f(1), …, f(total - 1)`, with the index space split into
+/// contiguous ranges across `workers` threads; the concatenated output
+/// is the sequential one.
+fn indexed(total: usize, workers: usize, f: impl Fn(usize) -> ObjRef + Sync) -> Vec<ObjRef> {
+    if workers <= 1 {
+        return (0..total).map(f).collect();
+    }
+    let ranges = split_range(total, workers);
+    par_map(workers, &ranges, |_, range| {
+        range.clone().map(&f).collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// All subsets of `members`, as canonical set values.
@@ -154,94 +160,6 @@ pub fn powerset(members: &[Value]) -> Vec<Value> {
         out.push(Value::Set(s));
     }
     out
-}
-
-/// [`powerset`] with the `2^n` subset masks split into contiguous ranges
-/// across `workers` threads. Each worker enumerates its mask range in
-/// ascending order, so concatenating the per-range outputs yields exactly
-/// the sequential enumeration. Same panic condition as [`powerset`].
-pub fn powerset_par(members: &[Value], workers: usize) -> Vec<Value> {
-    let n = members.len();
-    assert!(
-        n < usize::BITS as usize,
-        "powerset of {n} members cannot be enumerated with a word-sized mask"
-    );
-    if workers <= 1 {
-        return powerset(members);
-    }
-    let total = 1usize << n;
-    let ranges = split_range(total, workers);
-    let chunks = par_map(workers, &ranges, |_, range| {
-        let mut out = Vec::with_capacity(range.len());
-        for mask in range.clone() {
-            let mut s = BTreeSet::new();
-            for (i, m) in members.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    // must stay: each subset owns its members
-                    s.insert(m.clone());
-                }
-            }
-            out.push(Value::Set(s));
-        }
-        out
-    });
-    chunks.into_iter().flatten().collect()
-}
-
-/// Cartesian product of value columns, as tuples (row-major: the last
-/// column varies fastest). Rows are built by mixed-radix decomposition of
-/// the row index, so each cell is cloned exactly once — no intermediate
-/// prefix vectors are re-cloned per extension.
-pub fn cartesian(columns: &[Vec<Value>]) -> Vec<Value> {
-    let total: usize = columns.iter().map(Vec::len).product();
-    if total == 0 {
-        return Vec::new();
-    }
-    let mut out = Vec::with_capacity(total);
-    for idx in 0..total {
-        let mut row = vec![Value::empty_set(); columns.len()];
-        let mut rem = idx;
-        for (j, col) in columns.iter().enumerate().rev() {
-            row[j] = col[rem % col.len()].clone();
-            rem /= col.len();
-        }
-        out.push(Value::Tuple(row));
-    }
-    out
-}
-
-/// [`cartesian`] with the row-index space split into contiguous ranges
-/// across `workers` threads.
-///
-/// The sequential product is row-major (the last column varies fastest),
-/// so row `i` is recovered independently by mixed-radix decomposition of
-/// `i` over the column lengths; each worker materializes a contiguous
-/// index range and concatenation reproduces the sequential order exactly.
-/// Callers must have pre-checked that the product size fits in `usize`
-/// (as [`cons_type_par`] does).
-pub fn cartesian_par(columns: &[Vec<Value>], workers: usize) -> Vec<Value> {
-    if workers <= 1 {
-        return cartesian(columns);
-    }
-    let total: usize = columns.iter().map(Vec::len).product();
-    if total == 0 {
-        return Vec::new();
-    }
-    let ranges = split_range(total, workers);
-    let chunks = par_map(workers, &ranges, |_, range| {
-        let mut out = Vec::with_capacity(range.len());
-        for idx in range.clone() {
-            let mut row = vec![Value::empty_set(); columns.len()];
-            let mut rem = idx;
-            for (j, col) in columns.iter().enumerate().rev() {
-                row[j] = col[rem % col.len()].clone();
-                rem /= col.len();
-            }
-            out.push(Value::Tuple(row));
-        }
-        out
-    });
-    chunks.into_iter().flatten().collect()
 }
 
 /// The size of `cons_T(X)` without materializing it, or `None` on overflow.
@@ -600,58 +518,73 @@ mod tests {
     }
 
     #[test]
-    fn powerset_par_matches_sequential_at_every_width() {
-        for n in 0..9usize {
-            let members: Vec<Value> = (0..n as u64).map(atom).collect();
-            let expect = powerset(&members);
-            for workers in [1, 2, 3, 4, 7] {
-                assert_eq!(powerset_par(&members, workers), expect, "n={n} w={workers}");
-            }
-        }
-    }
-
-    #[test]
-    fn cartesian_par_matches_sequential_at_every_width() {
-        let cases: Vec<Vec<Vec<Value>>> = vec![
-            vec![],
-            vec![vec![atom(0), atom(1)]],
-            vec![vec![atom(0), atom(1)], vec![]],
-            vec![
-                (0..5u64).map(atom).collect(),
-                (0..3u64).map(atom).collect(),
-                vec![atom(9), set([atom(1)])],
-            ],
-        ];
-        for cols in &cases {
-            let expect = cartesian(cols);
-            for workers in [1, 2, 3, 4, 7] {
-                assert_eq!(cartesian_par(cols, workers), expect, "w={workers}");
-            }
-        }
-    }
-
-    #[test]
     fn cons_type_par_matches_sequential_including_errors() {
         let types = [
             Type::Atomic,
             Type::Set(Box::new(Type::Atomic)),
             Type::nested_set(2),
             Type::Tuple(vec![Type::Atomic, Type::Set(Box::new(Type::Atomic))]),
+            Type::Tuple(vec![Type::nested_set(2), Type::Atomic, Type::Atomic]),
+            Type::Tuple(vec![]),
+            Type::Set(Box::new(Type::Tuple(vec![Type::Atomic, Type::Atomic]))),
         ];
         for ty in &types {
-            let expect = cons_type(ty, &atoms(3), 1 << 20);
-            for workers in [1, 2, 4] {
-                let got = cons_type_par(ty, &atoms(3), 1 << 20, workers);
-                match (&expect, &got) {
-                    (Ok(a), Ok(b)) => assert_eq!(a, b, "{ty:?} w={workers}"),
-                    (Err(_), Err(_)) => {}
-                    _ => panic!("{ty:?} w={workers}: par/seq disagree on success"),
-                }
+            let expect = cons_type(ty, &atoms(3), 1 << 20).unwrap();
+            for workers in [1, 2, 3, 4, 7] {
+                let pool = Pool::new();
+                let ids = cons_type_par(ty, &atoms(3), 1 << 20, workers, &pool).unwrap();
+                let got: Vec<Value> = ids.iter().map(|&r| pool.resolve(r)).collect();
+                assert_eq!(got, expect, "{ty:?} w={workers}");
             }
         }
         // oversized enumerations fail identically before any fan-out
-        let err = cons_type_par(&Type::nested_set(3), &atoms(5), 1 << 20, 4).unwrap_err();
-        assert!(matches!(err, ObjectError::BoundExceeded { .. }));
+        for workers in [1, 4] {
+            let err = cons_type_par(
+                &Type::nested_set(3),
+                &atoms(5),
+                1 << 20,
+                workers,
+                &Pool::new(),
+            )
+            .unwrap_err();
+            assert!(matches!(err, ObjectError::BoundExceeded { .. }));
+        }
+    }
+
+    #[test]
+    fn cons_type_keeps_mask_and_row_order() {
+        // bit i of a subset mask selects the inner domain's i-th member,
+        // and tuple rows vary the last column fastest — the orders the
+        // tree-form enumeration used, rebuilt here from `powerset`
+        let inner = cons_type(&Type::Set(Box::new(Type::Atomic)), &atoms(2), 100).unwrap();
+        assert_eq!(
+            inner,
+            vec![
+                Value::empty_set(),
+                set([atom(0)]),
+                set([atom(1)]),
+                set([atom(0), atom(1)])
+            ]
+        );
+        let nested = cons_type(&Type::nested_set(2), &atoms(2), 100).unwrap();
+        assert_eq!(nested, powerset(&inner));
+        let ty = Type::Tuple(vec![Type::Atomic, Type::Set(Box::new(Type::Atomic))]);
+        let rows = cons_type(&ty, &atoms(2), 100).unwrap();
+        let expect: Vec<Value> = [atom(0), atom(1)]
+            .into_iter()
+            .flat_map(|a| inner.iter().map(move |s| tuple([a.clone(), s.clone()])))
+            .collect();
+        assert_eq!(rows, expect);
+    }
+
+    #[test]
+    fn cons_domain_is_a_shared_dag() {
+        let pool = Pool::new();
+        let ids = cons_type_par(&Type::nested_set(2), &atoms(3), 1 << 20, 2, &pool).unwrap();
+        assert_eq!(ids.len(), 256);
+        // 3 atoms + 8 sets of atoms + 256 sets of sets, each stored once;
+        // the empty set is a member of both set levels but one node
+        assert_eq!(pool.len(), 3 + 8 + 256 - 1);
     }
 
     #[test]

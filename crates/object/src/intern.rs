@@ -55,9 +55,13 @@ const IDX_BITS: u32 = 32 - SHARD_BITS;
 /// Mask extracting the within-shard index.
 const IDX_MASK: u32 = (1 << IDX_BITS) - 1;
 
-/// A copyable id naming one interned object in the global [`Pool`].
+/// A copyable id naming one interned object in a [`Pool`] — normally
+/// the global one.
 ///
-/// Equality of ids is structural equality of the objects they name.
+/// Equality of ids is structural equality of the objects they name. An
+/// id means something only to the pool that issued it: ids of a private
+/// pool ([`Pool::new`]) must never be compared with, or looked up in,
+/// structures keyed by global ids (instance sidecars, `IndexSet`).
 /// The derived `Ord` is **id order** (allocation order), suitable for
 /// hash/sort containers but unrelated to the canonical structural order
 /// of values — use [`Pool::cmp_refs`] for that.
@@ -175,6 +179,33 @@ fn atom_meta(a: Atom) -> Meta {
     }
 }
 
+/// Metadata of a tuple (`TAG_TUPLE`) or set (`TAG_SET`) node from its
+/// `len` children's metadata, in child order.
+fn fold_meta(tag: u64, len: usize, children: impl IntoIterator<Item = Meta>, is_set: bool) -> Meta {
+    let mut hash = mix(tag, len as u64);
+    let mut size = 1u64;
+    let mut depth = 0u32;
+    let mut adom_fp = 0u64;
+    let mut invented = false;
+    for m in children {
+        hash = mix(hash, m.hash);
+        size += m.size;
+        depth = depth.max(m.depth);
+        adom_fp |= m.adom_fp;
+        invented |= m.invented;
+    }
+    if is_set {
+        depth += 1;
+    }
+    Meta {
+        hash: finalize(hash),
+        size,
+        depth,
+        adom_fp,
+        invented,
+    }
+}
+
 /// Cached per-node metadata, computed once at intern time.
 #[derive(Clone, Copy, Debug)]
 pub struct Meta {
@@ -192,8 +223,7 @@ pub struct Meta {
     /// set bit is only a maybe.
     pub adom_fp: u64,
     /// True iff the object mentions any invented surrogate atom
-    /// ([`Inventor::is_invented`]) — lets the invention semantics strip
-    /// and test without re-walking `adom`.
+    /// ([`Inventor::is_invented`]).
     pub invented: bool,
 }
 
@@ -211,17 +241,36 @@ enum Node {
 struct Rec {
     node: Node,
     meta: Meta,
+    /// The shard's previous record with the same structural hash, if
+    /// any: the tail of this hash's collision chain.
+    next_same_hash: Option<u32>,
 }
 
 #[derive(Default)]
 struct ShardInner {
-    /// Structural hash → candidate indices (collisions are rare; each
+    /// Structural hash → newest record with that hash, whose
+    /// `next_same_hash` links the older ones (collisions are rare; each
     /// candidate is confirmed by node equality, which is id-equality of
     /// children and therefore O(arity), never a deep walk).
-    by_hash: HashMap<u64, Vec<u32>, FxBuildHasher>,
+    by_hash: HashMap<u64, u32, FxBuildHasher>,
     /// Append-only record store; `Arc` so readers can drop the lock
     /// before recursing.
     recs: Vec<Arc<Rec>>,
+}
+
+impl ShardInner {
+    /// The index of the record holding `node`, if stored.
+    fn find(&self, hash: u64, node: &Node) -> Option<u32> {
+        let mut at = self.by_hash.get(&hash).copied();
+        while let Some(i) = at {
+            let rec = &self.recs[i as usize];
+            if rec.node == *node {
+                return Some(i);
+            }
+            at = rec.next_same_hash;
+        }
+        None
+    }
 }
 
 #[derive(Default)]
@@ -254,7 +303,9 @@ impl InternStats {
 }
 
 /// The hash-consing pool. One process-global instance ([`Pool::global`])
-/// is shared by every engine and every `uset-par` worker.
+/// is shared by every engine and every `uset-par` worker; an evaluation
+/// that builds many short-lived objects can own a private one
+/// ([`Pool::new`]) and free all of them at once by dropping it.
 pub struct Pool {
     shards: [Shard; SHARD_COUNT],
     objects_interned: AtomicU64,
@@ -318,8 +369,17 @@ thread_local! {
         RefCell::new(HashMap::default());
 }
 
+impl Default for Pool {
+    fn default() -> Pool {
+        Pool::new()
+    }
+}
+
 impl Pool {
-    fn new() -> Pool {
+    /// An empty private pool. Its ids are unrelated to the global pool's
+    /// (see [`ObjRef`]), and [`Pool::intern`] on it bypasses the
+    /// thread-local memo, which is keyed by global ids.
+    pub fn new() -> Pool {
         Pool {
             shards: Default::default(),
             objects_interned: AtomicU64::new(0),
@@ -352,43 +412,44 @@ impl Pool {
 
     /// The cached metadata of an interned object.
     pub fn meta(&self, r: ObjRef) -> Meta {
-        self.rec(r).meta
+        // copied out under the lock: no record handle to clone and drop
+        let guard = self.shards[r.shard()]
+            .inner
+            .read()
+            .expect("pool shard poisoned");
+        guard.recs[r.idx()].meta
     }
 
     /// Store (or find) a node with precomputed metadata.
     fn intern_node(&self, node: Node, meta: Meta) -> ObjRef {
         let shard_no = (meta.hash >> (64 - SHARD_BITS)) as usize & (SHARD_COUNT - 1);
         let shard = &self.shards[shard_no];
+        let hit = |i: u32| {
+            self.intern_hits.fetch_add(1, Ordering::Relaxed);
+            self.bytes_shared
+                .fetch_add(node_bytes(&node), Ordering::Relaxed);
+            ObjRef::new(shard_no, i as usize)
+        };
         {
             let guard = shard.inner.read().expect("pool shard poisoned");
-            if let Some(ids) = guard.by_hash.get(&meta.hash) {
-                for &i in ids {
-                    if guard.recs[i as usize].node == node {
-                        self.intern_hits.fetch_add(1, Ordering::Relaxed);
-                        self.bytes_shared
-                            .fetch_add(node_bytes(&node), Ordering::Relaxed);
-                        return ObjRef::new(shard_no, i as usize);
-                    }
-                }
+            if let Some(i) = guard.find(meta.hash, &node) {
+                return hit(i);
             }
         }
         let mut guard = shard.inner.write().expect("pool shard poisoned");
         // Re-probe under the write lock: another thread may have interned
         // the same node between our read and write sections.
-        if let Some(ids) = guard.by_hash.get(&meta.hash) {
-            for &i in ids {
-                if guard.recs[i as usize].node == node {
-                    self.intern_hits.fetch_add(1, Ordering::Relaxed);
-                    self.bytes_shared
-                        .fetch_add(node_bytes(&node), Ordering::Relaxed);
-                    return ObjRef::new(shard_no, i as usize);
-                }
-            }
+        if let Some(i) = guard.find(meta.hash, &node) {
+            return hit(i);
         }
         let idx = guard.recs.len();
         let r = ObjRef::new(shard_no, idx);
-        guard.by_hash.entry(meta.hash).or_default().push(idx as u32);
-        guard.recs.push(Arc::new(Rec { node, meta }));
+        let next_same_hash = guard.by_hash.insert(meta.hash, idx as u32);
+        guard.recs.push(Arc::new(Rec {
+            node,
+            meta,
+            next_same_hash,
+        }));
         self.objects_interned.fetch_add(1, Ordering::Relaxed);
         r
     }
@@ -399,29 +460,12 @@ impl Pool {
     }
 
     fn combine_meta(&self, tag: u64, children: &[ObjRef], is_set: bool) -> Meta {
-        let mut hash = mix(tag, children.len() as u64);
-        let mut size = 1u64;
-        let mut depth = 0u32;
-        let mut adom_fp = 0u64;
-        let mut invented = false;
-        for &c in children {
-            let m = self.meta(c);
-            hash = mix(hash, m.hash);
-            size += m.size;
-            depth = depth.max(m.depth);
-            adom_fp |= m.adom_fp;
-            invented |= m.invented;
-        }
-        if is_set {
-            depth += 1;
-        }
-        Meta {
-            hash: finalize(hash),
-            size,
-            depth,
-            adom_fp,
-            invented,
-        }
+        fold_meta(
+            tag,
+            children.len(),
+            children.iter().map(|&c| self.meta(c)),
+            is_set,
+        )
     }
 
     /// Intern a tuple node from already-interned children.
@@ -434,13 +478,31 @@ impl Pool {
     /// order with no duplicates (the canonical form `BTreeSet` iteration
     /// yields).
     pub fn set_of_sorted(&self, children: Vec<ObjRef>) -> ObjRef {
+        let meta = self.combine_meta(TAG_SET, &children, true);
+        self.set_node(children, meta)
+    }
+
+    /// [`Pool::set_of_sorted`] for a caller already holding the
+    /// children's metadata, in the same order: a domain enumeration
+    /// builds every subset of one member list, and this spares it one
+    /// record read per member per subset.
+    pub(crate) fn set_of_sorted_with(
+        &self,
+        children: Vec<ObjRef>,
+        metas: impl IntoIterator<Item = Meta>,
+    ) -> ObjRef {
+        let meta = fold_meta(TAG_SET, children.len(), metas, true);
+        debug_assert_eq!(meta.hash, self.combine_meta(TAG_SET, &children, true).hash);
+        self.set_node(children, meta)
+    }
+
+    fn set_node(&self, children: Vec<ObjRef>, meta: Meta) -> ObjRef {
         debug_assert!(
             children
                 .windows(2)
                 .all(|w| self.cmp_refs(w[0], w[1]) == CmpOrd::Less),
             "set children must be strictly ascending in structural order"
         );
-        let meta = self.combine_meta(TAG_SET, &children, true);
         self.intern_node(Node::Set(children.into_boxed_slice()), meta)
     }
 
@@ -450,8 +512,8 @@ impl Pool {
         if let Value::Atom(a) = v {
             return self.intern_atom(*a);
         }
-        // The memo is keyed against the global pool's ids; a privately
-        // constructed pool (tests) skips it.
+        // The memo is keyed against the global pool's ids; a private
+        // pool skips it.
         if !std::ptr::eq(self, Pool::global()) {
             return self.intern_with_meta(v).0;
         }
@@ -495,30 +557,12 @@ impl Pool {
     {
         let tag = if is_set { TAG_SET } else { TAG_TUPLE };
         let mut children = Vec::with_capacity(len);
-        let mut hash = mix(tag, len as u64);
-        let mut size = 1u64;
-        let mut depth = 0u32;
-        let mut adom_fp = 0u64;
-        let mut invented = false;
-        for c in items {
+        let metas = items.map(|c| {
             let (r, m) = self.intern_with_meta(c);
             children.push(r);
-            hash = mix(hash, m.hash);
-            size += m.size;
-            depth = depth.max(m.depth);
-            adom_fp |= m.adom_fp;
-            invented |= m.invented;
-        }
-        if is_set {
-            depth += 1;
-        }
-        let meta = Meta {
-            hash: finalize(hash),
-            size,
-            depth,
-            adom_fp,
-            invented,
-        };
+            m
+        });
+        let meta = fold_meta(tag, len, metas, is_set);
         let children = children.into_boxed_slice();
         let node = if is_set {
             Node::Set(children)
@@ -689,16 +733,6 @@ pub fn fast_set_depth(v: &Value) -> usize {
     }
 }
 
-/// Gated fast path for "does `v` mention an invented surrogate atom" —
-/// the invention semantics' strip/witness test. Falls back to walking
-/// `adom` when interning is off or the value is not already pooled.
-pub fn fast_has_invented(v: &Value) -> bool {
-    match memo_meta(v) {
-        Some(m) => m.invented,
-        None => v.adom().into_iter().any(Inventor::is_invented),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -855,11 +889,9 @@ mod tests {
         set_enabled(true);
         assert_eq!(fast_size(&v), v.size());
         assert_eq!(fast_set_depth(&v), v.set_depth());
-        assert!(!fast_has_invented(&v));
         set_enabled(false);
         assert_eq!(fast_size(&v), v.size());
         assert_eq!(fast_set_depth(&v), v.set_depth());
-        assert!(!fast_has_invented(&v));
         set_enabled(was);
     }
 }
