@@ -533,26 +533,22 @@ pub fn eval_program_governed(
 ) -> EvalResult<Instance> {
     let mut guard = governor.guard(EngineId::Algebra);
     let run_start = engine_start(ENGINE, &governor.trace);
-    let mut session = guard.ckpt_session(alg_fingerprint(prog, db));
-    let mut start = 0usize;
-    let mut mid_while = false;
-    let mut env: HashMap<String, Instance> =
-        db.iter().map(|(n, i)| (n.to_owned(), i.clone())).collect();
-    let mut commits = 0u64;
-    if let Some(sess) = session.as_mut() {
-        if let Some(rec) = sess.recover() {
-            if let Some(r) = alg_decode(&rec.payload) {
-                // algebra synthesizes its stats from the guard meters, so
-                // recovery only needs the meters restored
-                let mut stats = EvalStats::default();
-                guard.adopt_recovery(&rec, &mut stats);
-                start = r.pc;
-                mid_while = r.in_while;
-                env = r.env.into_iter().collect();
-                commits = rec.round;
-            }
-        }
-    }
+    // algebra synthesizes its stats from the guard meters, so recovery
+    // only needs the meters restored
+    let (session, resume) = guard.resume(
+        || alg_fingerprint(prog, db),
+        &mut EvalStats::default(),
+        |rec| Some((alg_decode(&rec.payload)?, rec.round)),
+    );
+    let (start, mid_while, env, commits) = match resume {
+        Some((r, round)) => (r.pc, r.in_while, r.env.into_iter().collect(), round),
+        None => (
+            0,
+            false,
+            db.iter().map(|(n, i)| (n.to_owned(), i.clone())).collect(),
+            0,
+        ),
+    };
     let mut ev = Evaluator {
         env,
         guard,

@@ -29,7 +29,7 @@ use std::time::Instant;
 use uset_guard::ckpt;
 use uset_guard::trace::span::{engine_end, engine_start, RuleFirings};
 use uset_guard::trace::TraceEvent;
-use uset_guard::{Budget, EngineId, Exhausted, Governor, Guard, ParBrake, Resource, Trip};
+use uset_guard::{Budget, EngineId, Exhausted, Governor, ParBrake, Resource, Trip};
 use uset_object::EvalStats;
 use uset_par::try_par_map;
 
@@ -147,40 +147,24 @@ pub struct Derivation {
 
 type Bindings = BTreeMap<String, BkObject>;
 
-/// The budget checks a binding search performs — the real [`Guard`] on
-/// the sequential path, a worker-local relay in parallel rounds (workers
-/// cannot touch the single-threaded guard; the main thread replays their
-/// observations against it in rule order, so trips and the value
-/// high-water mark stay authoritative and deterministic).
-trait BkCheck {
-    /// Cooperative cancellation point.
-    fn check_point(&mut self) -> Result<(), Trip>;
-    /// Report one enumeration's size against the structural cap.
-    fn check_value(&mut self, size: usize, floor: Option<usize>) -> Result<(), Trip>;
-}
-
-impl BkCheck for Guard {
-    fn check_point(&mut self) -> Result<(), Trip> {
-        Guard::check_point(self)
-    }
-
-    fn check_value(&mut self, size: usize, floor: Option<usize>) -> Result<(), Trip> {
-        Guard::check_value(self, size, floor)
-    }
-}
-
-/// Worker-local checker: polls the shared [`ParBrake`] for cancellation
-/// and enforces only the *structural* floor locally (the floor is a hard
-/// cap independent of budgets, so tripping it early on the worker is
-/// sound). Everything observed is replayed against the real guard at
-/// merge time; a worker-built [`Trip`] is never surfaced to the caller.
+/// The budget checks a binding search performs. Phase 1 cannot touch the
+/// single-threaded guard (its units may run on the worker pool), so a
+/// search polls the round's [`ParBrake`] — cancellation and the deadline
+/// — and enforces the guard's own value cap, `min(budget, floor)` (see
+/// [`uset_guard::Guard::value_cap`]), stopping at the enumeration the
+/// guard would trip on. What it observed is replayed against the guard
+/// in rule order when the round merges: that replay raises the
+/// authoritative trip and keeps the value high-water mark deterministic.
+/// A trip built here is never surfaced to the caller.
 struct WorkerCheck<'a> {
     brake: &'a ParBrake,
+    cap: Option<usize>,
     value_hwm: usize,
     checked: bool,
 }
 
-impl BkCheck for WorkerCheck<'_> {
+impl WorkerCheck<'_> {
+    /// Cooperative cancellation point.
     fn check_point(&mut self) -> Result<(), Trip> {
         if self.brake.should_stop() {
             Err(Trip {
@@ -194,31 +178,30 @@ impl BkCheck for WorkerCheck<'_> {
         }
     }
 
-    fn check_value(&mut self, size: usize, floor: Option<usize>) -> Result<(), Trip> {
+    /// Record one enumeration's size and check it against the cap.
+    fn check_value(&mut self, size: usize) -> Result<(), Trip> {
         self.checked = true;
         self.value_hwm = self.value_hwm.max(size);
-        if let Some(f) = floor {
-            if size > f {
-                return Err(Trip {
-                    engine: EngineId::Bk,
-                    resource: Resource::ValueSize,
-                    consumed: size as u64,
-                    limit: f as u64,
-                });
-            }
+        match self.cap {
+            Some(cap) if size > cap => Err(Trip {
+                engine: EngineId::Bk,
+                resource: Resource::ValueSize,
+                consumed: size as u64,
+                limit: cap as u64,
+            }),
+            _ => Ok(()),
         }
-        Ok(())
     }
 }
 
 /// All extensions of `b` making `pat` instantiate to a sub-object of
 /// `target`.
-fn match_pattern<C: BkCheck>(
+fn match_pattern(
     pat: &BkTerm,
     target: &BkObject,
     b: &Bindings,
     config: &BkConfig,
-    guard: &mut C,
+    guard: &mut WorkerCheck<'_>,
 ) -> Result<Vec<Bindings>, Trip> {
     let mode = config.bind_mode;
     match pat {
@@ -243,12 +226,12 @@ fn match_pattern<C: BkCheck>(
                         let cap = config.max_subobjects;
                         match subobjects(target, cap) {
                             Some(cs) => {
-                                guard.check_value(cs.len(), Some(cap))?;
+                                guard.check_value(cs.len())?;
                                 cs
                             }
                             None => {
                                 // enumeration overflowed the structural cap
-                                guard.check_value(cap.saturating_add(1), Some(cap))?;
+                                guard.check_value(cap.saturating_add(1))?;
                                 unreachable!("check_value must trip past its floor")
                             }
                         }
@@ -274,18 +257,19 @@ fn match_pattern<C: BkCheck>(
         BkTerm::Tuple(m) => {
             // the instantiated tuple has exactly attrs(m); it is ⊑ target
             // iff target is a tuple (or ⊤) providing each attribute above
-            let out_for_top = |b: &Bindings, guard: &mut C| -> Result<Vec<Bindings>, Trip> {
-                // everything is ⊑ ⊤: match sub-patterns against ⊤
-                let mut acc = vec![b.clone()];
-                for t in m.values() {
-                    let mut next = Vec::new();
-                    for bb in &acc {
-                        next.extend(match_pattern(t, &BkObject::Top, bb, config, guard)?);
+            let out_for_top =
+                |b: &Bindings, guard: &mut WorkerCheck<'_>| -> Result<Vec<Bindings>, Trip> {
+                    // everything is ⊑ ⊤: match sub-patterns against ⊤
+                    let mut acc = vec![b.clone()];
+                    for t in m.values() {
+                        let mut next = Vec::new();
+                        for bb in &acc {
+                            next.extend(match_pattern(t, &BkObject::Top, bb, config, guard)?);
+                        }
+                        acc = next;
                     }
-                    acc = next;
-                }
-                Ok(acc)
-            };
+                    Ok(acc)
+                };
             match target {
                 BkObject::Top => out_for_top(b, guard),
                 BkObject::Tuple(tm) => {
@@ -343,11 +327,11 @@ fn match_pattern<C: BkCheck>(
 }
 
 /// All valuations satisfying a rule body against the state.
-fn rule_bindings<C: BkCheck>(
+fn rule_bindings(
     rule: &BkRule,
     state: &BkState,
     config: &BkConfig,
-    guard: &mut C,
+    guard: &mut WorkerCheck<'_>,
 ) -> Result<Vec<Bindings>, Trip> {
     let mut acc: Vec<Bindings> = vec![Bindings::new()];
     for lit in &rule.body {
@@ -559,27 +543,23 @@ pub fn eval_rounds_with(
     let trace = governor.trace.clone();
     let mut ctx = RuleFirings::new(ENGINE, &trace);
     let run_start = engine_start(ENGINE, &trace);
-    let mut state = input.clone();
-    let mut derivations: Vec<Derivation> = Vec::new();
     // recover the last durable round of a matching interrupted run, if
     // the governor configured a checkpoint directory
-    let mut session = guard.ckpt_session(bk_fingerprint(prog, input, config));
-    let mut start_round = 0;
-    if let Some(sess) = session.as_mut() {
-        if let Some(rec) = sess.recover() {
-            if let Some(r) = bk_decode(&rec.payload) {
-                guard.adopt_recovery(&rec, stats);
-                start_round = r.rounds_in_run;
-                state = r.state;
-                derivations = r.derivations;
-            }
-        }
-    }
+    let (mut session, resume) = guard.resume(
+        || bk_fingerprint(prog, input, config),
+        stats,
+        |rec| bk_decode(&rec.payload),
+    );
+    let (start_round, mut state, mut derivations) = match resume {
+        Some(r) => (r.rounds_in_run, r.state, r.derivations),
+        None => (0, input.clone(), Vec::new()),
+    };
     let base: usize = state.values().map(BTreeSet::len).sum();
     stats.observe_facts(base);
     if let Err(trip) = guard.set_fact_base(base) {
         return Err(exhaust(trip, state, derivations, *stats));
     }
+    let floor = Some(config.max_subobjects);
     for done_rounds in start_round..config.max_rounds {
         if let Err(trip) = guard.step() {
             return Err(exhaust(trip, state, derivations, *stats));
@@ -597,176 +577,72 @@ pub fn eval_rounds_with(
         let mut new_per_rule: BTreeMap<usize, u64> = BTreeMap::new();
         let snapshot = state.clone();
         let round_start = derivations.len();
-        let workers = guard.workers();
-        if workers > 1 {
-            // phase 1, parallel: every rule's binding search runs against
-            // the shared pre-round snapshot on the worker pool; budget
-            // observations are replayed against the real guard in rule
-            // order below, so trips and traces stay deterministic
-            let brake = guard.par_brake();
-            let rule_list: Vec<(usize, &BkRule)> = prog.rules.iter().enumerate().collect();
-            let timed = ctx.enabled();
-            let fired = try_par_map(workers, &rule_list, |_, &(_, rule)| {
-                let t0 = timed.then(Instant::now);
-                let mut check = WorkerCheck {
-                    brake: &brake,
-                    value_hwm: 0,
-                    checked: false,
-                };
-                let res = rule_bindings(rule, &snapshot, config, &mut check);
-                if let Ok(bs) = &res {
-                    brake.charge(bs.len() as u64);
-                }
-                let wall = t0.map_or(0, |t| t.elapsed().as_micros() as u64);
-                (res, check.value_hwm, check.checked, wall)
-            });
-            let outputs = match fired {
-                Ok(o) => o,
-                Err(_panic) => {
-                    // a rule's binding search panicked on a worker: the
-                    // pool drained cleanly and nothing was inserted, so
-                    // the state is still the last completed round's —
-                    // surface a structured trip instead of unwinding
-                    let trip = guard.panic_trip();
-                    return Err(exhaust(trip, state, derivations, *stats));
-                }
+        // phase 1: every rule's binding search runs against the shared
+        // pre-round snapshot — inline at width 1, on the worker pool
+        // above; budget observations are replayed against the real guard
+        // in rule order below, so trips and traces stay deterministic
+        let brake = guard.par_brake();
+        let cap = guard.value_cap(floor);
+        let timed = ctx.enabled();
+        let fired = try_par_map(guard.workers(), &prog.rules, |_, rule| {
+            let t0 = timed.then(Instant::now);
+            let mut check = WorkerCheck {
+                brake: &brake,
+                cap,
+                value_hwm: 0,
+                checked: false,
             };
-            if brake.engaged() {
-                // a worker overran the derivation allowance mid-round:
-                // nothing was inserted yet, so the state is exactly the
-                // last completed round's snapshot
-                let trip = guard.brake_trip();
+            let res = rule_bindings(rule, &snapshot, config, &mut check);
+            if let Ok(bs) = &res {
+                brake.charge(bs.len() as u64);
+            }
+            let wall = t0.map_or(0, |t| t.elapsed().as_micros() as u64);
+            (res, check.value_hwm, check.checked, wall)
+        });
+        let outputs = match fired {
+            Ok(o) => o,
+            Err(_panic) => {
+                // a rule's binding search panicked: the pool drained
+                // cleanly and nothing was inserted, so the state is still
+                // the last completed round's — surface a structured trip
+                // instead of unwinding
+                let trip = guard.panic_trip();
                 return Err(exhaust(trip, state, derivations, *stats));
             }
-            // phase 2: replay each worker's budget observations against
-            // the real guard and insert, in rule order
-            let merge = |state: &mut BkState,
-                         derivations: &mut Vec<Derivation>,
-                         stats: &mut EvalStats,
-                         guard: &mut Guard,
-                         changed: &mut bool,
-                         ctx: &mut RuleFirings,
-                         new_per_rule: &mut BTreeMap<usize, u64>|
-             -> Result<(), Trip> {
-                for (&(idx, rule), (res, hwm, checked, wall)) in rule_list.iter().zip(outputs) {
-                    guard.check_point()?;
-                    if checked {
-                        guard.check_value(hwm, Some(config.max_subobjects))?;
-                    }
-                    stats.rules_fired += 1;
-                    let bindings = res.unwrap_or_default();
-                    let produced = bindings.len() as u64;
-                    for b in bindings {
-                        let fact = rule.head.instantiate(&b);
-                        stats.tuples_derived += 1;
-                        let extent = state.entry(rule.head_pred.clone()).or_default();
-                        // probe before cloning: re-derivations (the common
-                        // case once the fixpoint nears) pay one lookup and
-                        // no deep copy of the fact
-                        if !extent.contains(&fact) {
-                            extent.insert(fact.clone());
-                            guard.add_fact()?;
-                            *changed = true;
-                            if ctx.enabled() {
-                                *new_per_rule.entry(idx).or_default() += 1;
-                            }
-                            if ctx.want_provenance() {
-                                let rendered = render_bk_fact(&rule.head_pred, &fact);
-                                let parents: Vec<String> = rule
-                                    .body
-                                    .iter()
-                                    .map(|lit| {
-                                        render_bk_fact(&lit.pred, &lit.pattern.instantiate(&b))
-                                    })
-                                    .collect();
-                                trace.emit(move || TraceEvent::Derivation {
-                                    engine: ENGINE.into(),
-                                    round: round_no,
-                                    rule: idx,
-                                    fact: rendered,
-                                    parents,
-                                });
-                            }
-                            derivations.push(Derivation {
-                                rule: idx,
-                                bindings: b,
-                                pred: rule.head_pred.clone(),
-                                fact,
-                            });
-                        }
-                    }
-                    if timed {
-                        ctx.record(idx, produced, wall);
-                    }
-                }
-                Ok(())
-            };
-            if let Err(trip) = merge(
-                &mut state,
-                &mut derivations,
-                stats,
-                &mut guard,
-                &mut changed,
-                &mut ctx,
-                &mut new_per_rule,
-            ) {
-                // roll the incomplete round back to the last consistent
-                // state
-                for d in derivations.drain(round_start..) {
-                    if let Some(extent) = state.get_mut(&d.pred) {
-                        extent.remove(&d.fact);
-                    }
-                }
-                return Err(exhaust(trip, state, derivations, *stats));
-            }
-            let facts: usize = state.values().map(BTreeSet::len).sum();
-            stats.observe_facts(facts);
-            ctx.emit_round(
-                &trace,
-                round_no,
-                &new_per_rule,
-                facts as u64,
-                guard.value_hwm() as u64,
-                round_t0,
-            );
-            if !changed {
-                engine_end(ENGINE, &trace, guard.steps(), run_start);
-                if let Some(sess) = session.as_mut() {
-                    sess.finish();
-                }
-                return Ok((state, derivations, true));
-            }
-            // the quiescent round is never committed: a resume replays
-            // it from the previous commit and recharges identically
-            if let Some(sess) = session.as_mut() {
-                let payload = bk_encode(done_rounds + 1, &state, &derivations);
-                sess.commit(&guard.round_ckpt(round_no, stats, payload));
-            }
-            continue;
+        };
+        if brake.should_stop() {
+            // the allowance was overrun, or the run was cancelled or hit
+            // its deadline mid-round: nothing was inserted yet, so the
+            // state is exactly the last completed round's snapshot
+            let trip = guard.brake_stop(&brake);
+            return Err(exhaust(trip, state, derivations, *stats));
         }
-        let round = |state: &mut BkState,
-                     derivations: &mut Vec<Derivation>,
-                     stats: &mut EvalStats,
-                     guard: &mut Guard,
-                     changed: &mut bool,
-                     ctx: &mut RuleFirings,
-                     new_per_rule: &mut BTreeMap<usize, u64>|
-         -> Result<(), Trip> {
-            for (idx, rule) in prog.rules.iter().enumerate() {
-                let fire_t0 = ctx.enabled().then(Instant::now);
-                let bindings = rule_bindings(rule, &snapshot, config, guard)?;
+        // phase 2: replay each rule's budget observations against the
+        // real guard and insert, in rule order
+        let merged = (|| -> Result<(), Trip> {
+            for (idx, (rule, (res, hwm, checked, wall))) in
+                prog.rules.iter().zip(outputs).enumerate()
+            {
+                guard.check_point()?;
+                if checked {
+                    guard.check_value(hwm, floor)?;
+                }
                 stats.rules_fired += 1;
+                // a search that stopped early tripped above
+                let bindings = res.unwrap_or_default();
                 let produced = bindings.len() as u64;
                 for b in bindings {
                     let fact = rule.head.instantiate(&b);
                     stats.tuples_derived += 1;
                     let extent = state.entry(rule.head_pred.clone()).or_default();
-                    // probe before cloning, as in the parallel merge above
+                    // probe before cloning: re-derivations (the common
+                    // case once the fixpoint nears) pay one lookup and no
+                    // deep copy of the fact
                     if !extent.contains(&fact) {
                         extent.insert(fact.clone());
                         guard.add_fact()?;
-                        *changed = true;
-                        if ctx.enabled() {
+                        changed = true;
+                        if timed {
                             *new_per_rule.entry(idx).or_default() += 1;
                         }
                         if ctx.want_provenance() {
@@ -792,21 +668,11 @@ pub fn eval_rounds_with(
                         });
                     }
                 }
-                if let Some(t0) = fire_t0 {
-                    ctx.record(idx, produced, t0.elapsed().as_micros() as u64);
-                }
+                ctx.record(idx, produced, wall);
             }
             Ok(())
-        };
-        if let Err(trip) = round(
-            &mut state,
-            &mut derivations,
-            stats,
-            &mut guard,
-            &mut changed,
-            &mut ctx,
-            &mut new_per_rule,
-        ) {
+        })();
+        if let Err(trip) = merged {
             // roll the incomplete round back to the last consistent state
             for d in derivations.drain(round_start..) {
                 if let Some(extent) = state.get_mut(&d.pred) {
@@ -832,6 +698,8 @@ pub fn eval_rounds_with(
             }
             return Ok((state, derivations, true));
         }
+        // the quiescent round is never committed: a resume replays it
+        // from the previous commit and recharges identically
         if let Some(sess) = session.as_mut() {
             let payload = bk_encode(done_rounds + 1, &state, &derivations);
             sess.commit(&guard.round_ckpt(round_no, stats, payload));

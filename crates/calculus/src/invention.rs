@@ -92,27 +92,6 @@ fn calc_decode(payload: &[u8]) -> Option<CalcResume> {
     d.done().then_some(CalcResume { next, union })
 }
 
-fn calc_open_ckpt(
-    guard: &mut Guard,
-    stats: &mut EvalStats,
-    kind: &str,
-    q: &CalcQuery,
-    cap: usize,
-    db: &Database,
-) -> (Option<ckpt::Session>, Option<CalcResume>) {
-    let mut session = guard.ckpt_session(calc_fingerprint(kind, q, cap, db));
-    let mut resume = None;
-    if let Some(sess) = session.as_mut() {
-        if let Some(rec) = sess.recover() {
-            if let Some(r) = calc_decode(&rec.payload) {
-                guard.adopt_recovery(&rec, stats);
-                resume = Some(r);
-            }
-        }
-    }
-    (session, resume)
-}
-
 /// Deterministically produce `i` invented atoms (disjoint from workload
 /// atoms and named constants; recognized by [`Inventor::is_invented`]).
 pub fn invented_atoms(i: usize) -> Vec<Atom> {
@@ -171,7 +150,11 @@ pub fn eval_fi_governed(
     let run_start = engine_start(ENGINE, &trace);
     let mut stats = EvalStats::default();
     let mut out = Instance::empty();
-    let (mut session, resume) = calc_open_ckpt(&mut guard, &mut stats, "fi", q, budget, db);
+    let (mut session, resume) = guard.resume(
+        || calc_fingerprint("fi", q, budget, db),
+        &mut stats,
+        |rec| calc_decode(&rec.payload),
+    );
     let mut level = 0usize;
     if let Some(r) = resume {
         level = r.next;
@@ -325,7 +308,11 @@ pub fn eval_terminal_governed(
     let trace = governor.trace.clone();
     let run_start = engine_start(ENGINE, &trace);
     let mut stats = EvalStats::default();
-    let (mut session, resume) = calc_open_ckpt(&mut guard, &mut stats, "terminal", q, cap, db);
+    let (mut session, resume) = guard.resume(
+        || calc_fingerprint("terminal", q, cap, db),
+        &mut stats,
+        |rec| calc_decode(&rec.payload),
+    );
     let workers = guard.workers();
     let mut next = 0usize;
     if let Some(r) = resume {

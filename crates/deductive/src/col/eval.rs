@@ -37,6 +37,7 @@
 
 use crate::col::ast::{ColHead, ColLiteral, ColProgram, ColRule, ColTerm};
 use crate::col::stratify::stratify;
+use crate::round::{fire_round, FireUnit, RoundUnits, RuleClass};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
 use uset_guard::ckpt;
@@ -44,7 +45,7 @@ use uset_guard::trace::span::{engine_end, engine_start, RuleFirings};
 use uset_guard::trace::TraceEvent;
 use uset_guard::{Budget, EngineId, Exhausted, Governor, Guard, ParBrake, Resource, Trip};
 use uset_object::{intern, Database, EvalStats, IndexSet, Instance, Pool, Value};
-use uset_par::{shard_of, try_par_map};
+use uset_par::shard_of;
 
 /// Evaluation state: predicate extents and data-function graphs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -339,20 +340,10 @@ fn negated_tuple_probe(rel: &Instance, ground: &[Value]) -> Option<bool> {
 }
 
 /// Per-round delta: facts newly inserted in the previous round.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct ColDelta {
     preds: BTreeMap<String, Instance>,
     funcs: BTreeMap<String, BTreeMap<Vec<Value>, BTreeSet<Value>>>,
-}
-
-/// How a firing reaches the shared index cache: the sequential engine
-/// builds indexes lazily on first probe; parallel workers share the cache
-/// read-only and may only use what the round prebuilt.
-enum IndexAccess<'a> {
-    /// Build-on-demand (sequential path).
-    Build(&'a mut IndexSet),
-    /// Prebuilt, read-only (parallel workers).
-    Prebuilt(&'a IndexSet),
 }
 
 /// Extend a set of bindings through one body literal.
@@ -360,14 +351,15 @@ enum IndexAccess<'a> {
 /// When `delta_read` is set, this literal's top-level symbol (a positive
 /// predicate, or a positive membership in a function application) reads
 /// the previous round's delta instead of the full state — the semi-naive
-/// rewriting. Everything else in the literal still reads the state.
+/// rewriting. Everything else in the literal still reads the state, and
+/// ground-keyed joins probe the round's prebuilt `indexes`.
 fn extend(
     lit: &ColLiteral,
     bindings: Vec<Bindings>,
     rule: &ColRule,
     state: &ColState,
     delta_read: Option<&ColDelta>,
-    access: &mut IndexAccess<'_>,
+    indexes: &IndexSet,
     stats: &mut EvalStats,
 ) -> Result<Vec<Bindings>, ColEvalError> {
     let mut out = Vec::new();
@@ -408,18 +400,14 @@ fn extend(
                         // (deltas are small and short-lived — scan them)
                         let key = eval_term(&args[0], &b, state).ok();
                         if let (None, Some(k)) = (delta_read, key.as_ref()) {
-                            let index = match &mut *access {
-                                IndexAccess::Build(set) => Some(set.of(name, rel)),
-                                IndexAccess::Prebuilt(set) => set.get(name, 0, rel.version()),
-                            };
-                            if let Some(idx) = index {
+                            if let Some(idx) = indexes.get(name, 0, rel.version()) {
                                 stats.index_probes += 1;
                                 for row in idx.probe(k) {
                                     match_pred_row(args, row, &b, rule, state, &mut out)?;
                                 }
                             } else {
-                                // a prebuilt cache without this relation:
-                                // ground key, no usable index — a real
+                                // the round prebuilt no index here: ground
+                                // key, no usable index — a real
                                 // missed-index scan
                                 stats.scan_fallbacks += 1;
                                 for row in rel.iter() {
@@ -636,33 +624,35 @@ fn parent_facts(
     Ok(out)
 }
 
-/// Derive all facts of one rule against the state. If `delta` carries a
-/// body position, that literal reads the previous round's delta (or, in a
-/// parallel round, a hash shard of it). `count_prefix` routes work
-/// counters for literals before the delta position: those evaluate
-/// identically in every shard of one firing, so exactly one shard counts
-/// them and merged totals equal a sequential firing's. A `brake`, when
-/// present, is charged with the firing's derivation volume; once engaged
-/// the unit returns early with a truncated buffer (the caller ends the
-/// round, so truncation is never observable in a completed fixpoint).
-#[allow(clippy::too_many_arguments)]
-fn fire_rule_core(
-    rule: &ColRule,
-    rule_idx: usize,
+/// A COL firing unit: the delta a restricted literal reads is a round
+/// delta (or one hash shard of it).
+type ColUnit<'a> = FireUnit<'a, ColRule, ColDelta>;
+
+/// Fire one unit into `out`: all facts of rule `unit.rule` against the
+/// settled `state`, probing the round's prebuilt `indexes`; the unit's
+/// delta-restricted literal reads its delta instead of the state. Work
+/// counters of the literals before that position go to `stats` only if
+/// the unit counts the prefix (see [`FireUnit`]). The `brake` is polled
+/// between literals and charged with the firing's derivation volume; once
+/// it stops the round the unit returns early with a truncated buffer,
+/// which is never observable because the round then ends in a trip.
+fn fire_unit(
+    unit: &ColUnit<'_>,
     state: &ColState,
-    delta: Option<(&ColDelta, usize)>,
-    count_prefix: bool,
+    indexes: &IndexSet,
     want_prov: bool,
-    access: &mut IndexAccess<'_>,
-    stats: &mut EvalStats,
     out: &mut Vec<Derived>,
-    brake: Option<&ParBrake>,
+    stats: &mut EvalStats,
+    brake: &ParBrake,
 ) -> Result<(), ColEvalError> {
+    let rule = unit.rule;
+    let delta = unit.delta.as_ref().map(|(d, pos)| (&**d, *pos));
+    let count_prefix = unit.count_prefix;
     let shard_pos = delta.map(|(_, pos)| pos);
     let mut scratch = EvalStats::default();
     let mut bindings = vec![Bindings::new()];
     for (i, lit) in rule.body.iter().enumerate() {
-        if brake.is_some_and(ParBrake::should_stop) {
+        if brake.should_stop() {
             return Ok(());
         }
         let delta_read = match delta {
@@ -674,17 +664,15 @@ fn fire_rule_core(
         } else {
             &mut scratch
         };
-        bindings = extend(lit, bindings, rule, state, delta_read, access, st)?;
+        bindings = extend(lit, bindings, rule, state, delta_read, indexes, st)?;
         if bindings.is_empty() {
             break;
         }
     }
     let produced = bindings.len() as u64;
     stats.tuples_derived += produced;
-    if let Some(br) = brake {
-        if !br.charge(produced) {
-            return Ok(());
-        }
+    if !brake.charge(produced) {
+        return Ok(());
     }
     for b in &bindings {
         let parents = if want_prov {
@@ -723,69 +711,16 @@ fn fire_rule_core(
         };
         out.push(Derived {
             fact,
-            rule: rule_idx,
+            rule: unit.idx,
             parents,
         });
     }
     Ok(())
 }
 
-/// Sequential firing: one call = one recorded firing, indexes built on
-/// demand.
-#[allow(clippy::too_many_arguments)]
-fn fire_rule(
-    rule: &ColRule,
-    rule_idx: usize,
-    state: &ColState,
-    delta: Option<(&ColDelta, usize)>,
-    indexes: &mut IndexSet,
-    stats: &mut EvalStats,
-    out: &mut Vec<Derived>,
-    ctx: &mut RuleFirings,
-) -> Result<(), ColEvalError> {
-    stats.rules_fired += 1;
-    let fire_start = ctx.enabled().then(Instant::now);
-    let before = out.len();
-    fire_rule_core(
-        rule,
-        rule_idx,
-        state,
-        delta,
-        true,
-        ctx.want_provenance(),
-        &mut IndexAccess::Build(indexes),
-        stats,
-        out,
-        None,
-    )?;
-    if let Some(t0) = fire_start {
-        ctx.record(
-            rule_idx,
-            (out.len() - before) as u64,
-            t0.elapsed().as_micros() as u64,
-        );
-    }
-    Ok(())
-}
-
-/// One parallel phase-1 work unit: rule `idx` fired either from the full
-/// state (`delta: None`) or with body position `pos` restricted to a hash
-/// shard of the round's delta. Units sharing a `group` correspond to one
-/// sequential `fire_rule` call; the merge counts the group as a single
-/// firing and concatenates its shard buffers in shard order.
-struct FireUnit<'a> {
-    group: usize,
-    idx: usize,
-    rule: &'a ColRule,
-    delta: Option<(ColDelta, usize)>,
-    count_prefix: bool,
-}
-
 /// Shard the symbol read at body position `pos` of `rule` across
 /// `workers` single-symbol deltas, partitioned by stable fact hash.
-/// Returns an empty vector when the relevant delta slice is empty (the
-/// caller then keeps one empty-shard unit so the firing — and its prefix
-/// work — is still counted, as the sequential engine would).
+/// Only non-empty shards are returned.
 fn shard_delta(rule: &ColRule, pos: usize, delta: &ColDelta, workers: usize) -> Vec<ColDelta> {
     match &rule.body[pos] {
         ColLiteral::Pred { name, .. } => {
@@ -835,122 +770,68 @@ fn shard_delta(rule: &ColRule, pos: usize, delta: &ColDelta, workers: usize) -> 
     }
 }
 
-/// Prebuild, on the main thread, every first-column index a parallel
-/// round's units can probe, so workers find a fresh read-only cache.
-/// Missing relations get an (empty) index too: a probe against an empty
-/// relation must still count as a probe for sequential/parallel parity.
-fn prebuild_indexes(units: &[FireUnit<'_>], state: &ColState, indexes: &mut IndexSet) {
-    let empty = Instance::empty();
-    let mut done: BTreeSet<usize> = BTreeSet::new();
-    for unit in units {
-        if !done.insert(unit.idx) {
-            continue;
-        }
-        for lit in &unit.rule.body {
-            if let ColLiteral::Pred {
-                name,
+/// Body positions whose literal probes a first-column index when the
+/// join reaches it: a positive n-ary predicate read whose first argument
+/// is ground under the variables the earlier literals bind (positive
+/// predicate and membership literals bind their pattern's variables, a
+/// positive equation its unbound side). Every binding reaching a literal
+/// binds the same variables, so this static plan is exactly the join's
+/// dynamic test — the first argument evaluating to a key.
+fn probe_positions(rule: &ColRule) -> Vec<usize> {
+    let mut bound: BTreeSet<String> = BTreeSet::new();
+    let mut out = Vec::new();
+    for (i, lit) in rule.body.iter().enumerate() {
+        let mut vars = Vec::new();
+        match lit {
+            ColLiteral::Pred {
                 args,
                 positive: true,
-            } = lit
-            {
+                ..
+            } => {
                 if args.len() > 1 {
-                    let rel = state.preds.get(name).unwrap_or(&empty);
-                    indexes.of(name, rel);
+                    args[0].collect_vars(&mut vars);
+                    if vars.iter().all(|v| bound.contains(v)) {
+                        out.push(i);
+                    }
                 }
+                args.iter().for_each(|a| a.collect_vars(&mut vars));
             }
+            ColLiteral::Member {
+                elem,
+                positive: true,
+                ..
+            } => elem.collect_vars(&mut vars),
+            ColLiteral::Eq {
+                left,
+                right,
+                positive: true,
+            } => {
+                left.collect_vars(&mut vars);
+                right.collect_vars(&mut vars);
+            }
+            _ => {}
         }
+        bound.extend(vars);
     }
+    out
 }
 
-/// Fan one round's firing units across `workers` threads and merge the
-/// per-worker buffers in canonical (group, shard) order. Group-level
-/// firing counts and timings land in `stats`/`ctx` exactly as the
-/// sequential path records them; worker-local counters are summed in.
-#[allow(clippy::too_many_arguments)]
-fn fire_units_parallel(
-    units: &[FireUnit<'_>],
-    state: &ColState,
-    indexes: &IndexSet,
-    workers: usize,
-    brake: &ParBrake,
-    guard: &Guard,
-    stats: &mut EvalStats,
-    ctx: &mut RuleFirings,
-) -> Result<Vec<Derived>, ColEvalError> {
-    let want_prov = ctx.want_provenance();
-    let timed = ctx.enabled();
-    let fired = try_par_map(workers, units, |_, unit| {
-        let t0 = timed.then(Instant::now);
-        let mut derived = Vec::new();
-        let mut local = EvalStats::default();
-        let res = fire_rule_core(
-            unit.rule,
-            unit.idx,
-            state,
-            unit.delta.as_ref().map(|(d, pos)| (d, *pos)),
-            unit.count_prefix,
-            want_prov,
-            &mut IndexAccess::Prebuilt(indexes),
-            &mut local,
-            &mut derived,
-            Some(brake),
-        );
-        let wall = t0.map_or(0, |t0| t0.elapsed().as_micros() as u64);
-        res.map(|()| (derived, local, wall))
-    });
-    let outputs = match fired {
-        Ok(o) => o,
-        Err(_panic) => {
-            // a worker unit panicked: the pool drained cleanly, nothing
-            // was merged into the state — report a structured trip with
-            // the round-start snapshot instead of unwinding
-            return Err(ColEvalError::Exhausted(Box::new(Exhausted::new(
-                guard.panic_trip(),
-                state.clone(),
-                *stats,
-            ))));
-        }
-    };
-    let mut derived = Vec::new();
-    let mut current: Option<(usize, usize, u64, u64)> = None; // (group, idx, produced, wall)
-    for (unit, res) in units.iter().zip(outputs) {
-        let (buf, local, wall) = res?;
-        match &mut current {
-            Some((group, _, produced, acc)) if *group == unit.group => {
-                *produced += buf.len() as u64;
-                *acc += wall;
-            }
-            _ => {
-                if let Some((_, idx, produced, acc)) = current.take() {
-                    ctx.record(idx, produced, acc);
-                }
-                stats.rules_fired += 1;
-                current = Some((unit.group, unit.idx, buf.len() as u64, wall));
+/// Build (or refresh), before the round fans out, every first-column
+/// index a unit probes outside its delta-restricted literal, so units
+/// find a fresh read-only cache. Missing relations get an (empty) index
+/// too: a probe against an empty relation still counts as a probe.
+fn prebuild_indexes(units: &[ColUnit<'_>], state: &ColState, indexes: &mut IndexSet) {
+    let empty = Instance::empty();
+    for unit in units {
+        let delta_pos = unit.delta.as_ref().map(|(_, pos)| *pos);
+        for i in probe_positions(unit.rule) {
+            if let (ColLiteral::Pred { name, .. }, false) =
+                (&unit.rule.body[i], delta_pos == Some(i))
+            {
+                indexes.of(name, state.preds.get(name).unwrap_or(&empty));
             }
         }
-        stats.absorb(&local);
-        derived.extend(buf);
     }
-    if let Some((_, idx, produced, acc)) = current {
-        ctx.record(idx, produced, acc);
-    }
-    Ok(derived)
-}
-
-/// How one rule participates in a semi-naive engine run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum RuleClass {
-    /// Reads no symbol defined in this run: fires in the first round only.
-    Constant,
-    /// All same-run reads are monotone; each listed body position is a
-    /// positive read of a run symbol, and the rule fires once per position
-    /// with that literal restricted to the delta.
-    Seminaive(Vec<usize>),
-    /// Has a non-monotone same-run read (negation, or a run function's
-    /// value evaluated as a term): fires fully every round against the
-    /// pre-round state. Under stratified semantics this class never
-    /// arises — stratification lifts strong dependencies out of the run.
-    Snapshot,
 }
 
 /// True if the term evaluates the set value of a function defined in this
@@ -1039,13 +920,6 @@ fn classify(rule: &ColRule, run_symbols: &BTreeSet<&str>) -> RuleClass {
     }
 }
 
-/// Round-based engine: fire all `rules` simultaneously until fixpoint.
-///
-/// Each round derives everything from the settled pre-round state, then
-/// inserts — so no per-round clone of the state is needed and both
-/// strategies produce identical states. The fact budget is enforced at
-/// every insertion; the state never exceeds `max_facts` by more than the
-/// one fact that trips the error.
 /// Total facts carried by a round delta (for `RoundStart` events).
 fn delta_size(d: &ColDelta) -> u64 {
     let p: u64 = d.preds.values().map(|i| i.len() as u64).sum();
@@ -1163,30 +1037,6 @@ fn col_fingerprint(kind: &str, strategy: ColStrategy, prog: &ColProgram, db: &Da
     ckpt::fnv64(&e.finish())
 }
 
-/// Open the guard's checkpoint session (if configured) and recover the
-/// last durable round of a matching interrupted run; guard meters and
-/// `stats` are rewound when recovery succeeds.
-fn col_open_ckpt(
-    guard: &mut Guard,
-    stats: &mut EvalStats,
-    kind: &str,
-    strategy: ColStrategy,
-    prog: &ColProgram,
-    db: &Database,
-) -> (Option<ckpt::Session>, Option<ColResume>) {
-    let mut session = guard.ckpt_session(col_fingerprint(kind, strategy, prog, db));
-    let mut resume = None;
-    if let Some(sess) = session.as_mut() {
-        if let Some(rec) = sess.recover() {
-            if let Some(r) = col_decode(&rec.payload) {
-                guard.adopt_recovery(&rec, stats);
-                resume = Some(r);
-            }
-        }
-    }
-    (session, resume)
-}
-
 /// Commit one completed round. A quiescent round commits the next
 /// stratum's entry state so a resume never replays the no-op round.
 #[allow(clippy::too_many_arguments)]
@@ -1207,6 +1057,13 @@ fn col_commit(
     }
 }
 
+/// Round-based engine: fire all `rules` simultaneously until fixpoint.
+///
+/// Each round derives everything from the settled pre-round state, then
+/// inserts — so no per-round clone of the state is needed and both
+/// strategies produce identical states. The fact budget is enforced at
+/// every insertion; the state never exceeds `max_facts` by more than the
+/// one fact that trips the error.
 #[allow(clippy::too_many_arguments)]
 fn run_engine(
     rules: &[(usize, &ColRule)],
@@ -1288,146 +1145,35 @@ fn run_engine(
         });
         ctx.clear();
         // phase 1: derive from the pre-round state (one cooperative
-        // checkpoint per rule, so cancellation lands mid-round)
-        let workers = guard.workers();
-        let mut derived: Vec<Derived> = Vec::new();
-        if workers > 1 {
-            // parallel: build the round's firing units (sharding the
-            // delta by fact hash), checkpoint once per rule on the main
-            // thread, then fan the units across the pool — the state and
-            // its indexes are read-only until phase 2
-            let mut units: Vec<FireUnit<'_>> = Vec::new();
-            let mut group = 0usize;
-            for (&(idx, rule), class) in rules.iter().zip(&classes) {
-                if let Err(trip) = guard.check_point() {
-                    return Err(exhaust(trip, state, stats));
-                }
-                let full_state = match class {
-                    RuleClass::Constant | RuleClass::Seminaive(_) => first,
-                    RuleClass::Snapshot => true,
-                };
-                if full_state {
-                    units.push(FireUnit {
-                        group,
-                        idx,
-                        rule,
-                        delta: None,
-                        count_prefix: true,
-                    });
-                    group += 1;
-                } else if let RuleClass::Seminaive(positions) = class {
-                    for &pos in positions {
-                        let shards = shard_delta(rule, pos, &delta, workers);
-                        if shards.is_empty() {
-                            units.push(FireUnit {
-                                group,
-                                idx,
-                                rule,
-                                delta: Some((ColDelta::default(), pos)),
-                                count_prefix: true,
-                            });
-                        } else {
-                            for (k, d) in shards.into_iter().enumerate() {
-                                units.push(FireUnit {
-                                    group,
-                                    idx,
-                                    rule,
-                                    delta: Some((d, pos)),
-                                    count_prefix: k == 0,
-                                });
-                            }
-                        }
-                        group += 1;
-                    }
-                }
-            }
-            prebuild_indexes(&units, state, &mut indexes);
-            let brake = guard.par_brake();
-            derived = fire_units_parallel(
-                &units, state, &indexes, workers, &brake, guard, stats, &mut ctx,
-            )?;
-            if brake.should_stop() {
-                // a worker tripped the budget (or an external cancel
-                // landed) mid-round: nothing was inserted yet, so the
-                // state is exactly the last completed round's snapshot
-                let trip = if brake.engaged() {
-                    guard.brake_trip()
-                } else {
-                    match guard.check_point() {
-                        Err(trip) => trip,
-                        Ok(()) => guard.brake_trip(),
-                    }
-                };
+        // checkpoint per rule as the round's units are listed)
+        let mut units = RoundUnits::new(guard.workers());
+        for (&(idx, rule), class) in rules.iter().zip(&classes) {
+            if let Err(trip) = guard.check_point() {
                 return Err(exhaust(trip, state, stats));
             }
-        } else {
-            for (&(idx, rule), class) in rules.iter().zip(&classes) {
-                if let Err(trip) = guard.check_point() {
-                    return Err(exhaust(trip, state, stats));
-                }
-                match class {
-                    RuleClass::Constant => {
-                        if first {
-                            fire_rule(
-                                rule,
-                                idx,
-                                state,
-                                None,
-                                &mut indexes,
-                                stats,
-                                &mut derived,
-                                &mut ctx,
-                            )?;
-                        }
-                    }
-                    RuleClass::Seminaive(positions) => {
-                        if first {
-                            fire_rule(
-                                rule,
-                                idx,
-                                state,
-                                None,
-                                &mut indexes,
-                                stats,
-                                &mut derived,
-                                &mut ctx,
-                            )?;
-                        } else {
-                            for &pos in positions {
-                                fire_rule(
-                                    rule,
-                                    idx,
-                                    state,
-                                    Some((&delta, pos)),
-                                    &mut indexes,
-                                    stats,
-                                    &mut derived,
-                                    &mut ctx,
-                                )?;
-                            }
-                        }
-                    }
-                    RuleClass::Snapshot => {
-                        fire_rule(
-                            rule,
-                            idx,
-                            state,
-                            None,
-                            &mut indexes,
-                            stats,
-                            &mut derived,
-                            &mut ctx,
-                        )?;
-                    }
-                }
-            }
+            units.push_rule(
+                idx,
+                rule,
+                class,
+                first,
+                |_| Some(&delta),
+                |d, pos, k| shard_delta(rule, pos, d, k),
+            );
         }
+        let units = units.into_units();
+        prebuild_indexes(&units, state, &mut indexes);
+        let (snapshot, prebuilt): (&ColState, &IndexSet) = (state, &indexes);
+        let want_prov = ctx.want_provenance();
+        let derived = fire_round(&units, guard, stats, &mut ctx, |unit, brake, out, st| {
+            fire_unit(unit, snapshot, prebuilt, want_prov, out, st, brake)
+        })
+        .map_err(|stop| stop.into_error(|trip| exhaust(trip, state, stats)))?;
         // phase 2: insert, recording the round's delta (also the rollback
         // log for mid-round exhaustion) and charging the fact budget
         let mut new_delta = ColDelta::default();
         let mut new_per_rule: BTreeMap<usize, u64> = BTreeMap::new();
         let mut changed = false;
-        for d in derived {
+        for d in derived.into_iter().flatten() {
             let Derived {
                 fact,
                 rule,
@@ -1615,7 +1361,11 @@ pub fn stratified_governed(
     let mut guard = governor.guard(EngineId::Col);
     let pool_t0 = Pool::global().stats();
     let run_start = engine_start(ENGINE, &governor.trace);
-    let (mut session, resume) = col_open_ckpt(&mut guard, stats, "stratified", strategy, prog, db);
+    let (mut session, resume) = guard.resume(
+        || col_fingerprint("stratified", strategy, prog, db),
+        stats,
+        |rec| col_decode(&rec.payload),
+    );
     let (mut state, start, mut mid) = match resume {
         Some(r) => (
             r.state,
@@ -1716,8 +1466,11 @@ pub fn inflationary_governed(
     let mut guard = governor.guard(EngineId::Col);
     let pool_t0 = Pool::global().stats();
     let run_start = engine_start(ENGINE, &governor.trace);
-    let (mut session, resume) =
-        col_open_ckpt(&mut guard, stats, "inflationary", strategy, prog, db);
+    let (mut session, resume) = guard.resume(
+        || col_fingerprint("inflationary", strategy, prog, db),
+        stats,
+        |rec| col_decode(&rec.payload),
+    );
     // stratum 1 marks "the single fixpoint already converged": the crash
     // landed between the final commit and cleanup
     let (mut state, done, mid) = match resume {

@@ -13,6 +13,7 @@
 //! inflationary DATALOG¬ — the asymmetry that Theorem 5.1 shows disappears
 //! for COL with untyped sets.
 
+use crate::round::{fire_round, FireUnit, RoundUnits, RuleClass};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::rc::Rc;
@@ -24,7 +25,7 @@ use uset_guard::{Budget, EngineId, Exhausted, Governor, Guard, ParBrake, Trip};
 use uset_object::{
     intern, ColumnIndex, Database, EvalStats, IndexSet, Instance, ObjRef, Pool, Value,
 };
-use uset_par::{shard_by_hash, try_par_map};
+use uset_par::shard_by_hash;
 
 /// A term: a variable or a constant atom value.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -298,7 +299,11 @@ impl DatalogProgram {
         let mut guard = governor.guard(EngineId::Datalog);
         let pool_t0 = Pool::global().stats();
         let run_start = engine_start(ENGINE, &governor.trace);
-        let (mut session, resume) = dl_open_ckpt(&mut guard, stats, "stratified", &self.rules, db);
+        let (mut session, resume) = guard.resume(
+            || dl_fingerprint("stratified", &self.rules, db),
+            stats,
+            dl_fold,
+        );
         let (mut state, start) = match resume {
             Some(r) => (r.state, r.stratum),
             None => (db.clone(), 0),
@@ -310,7 +315,18 @@ impl DatalogProgram {
                 .enumerate()
                 .filter(|(_, r)| strata[&r.head.pred] == s)
                 .collect();
-            least_fixpoint(&rules, &mut state, &mut guard, stats, &mut session, s)?;
+            let classes = vec![RuleClass::Snapshot; rules.len()];
+            fixpoint(
+                &rules,
+                &classes,
+                false,
+                &mut state,
+                &mut guard,
+                stats,
+                &mut session,
+                s,
+                None,
+            )?;
         }
         engine_end(ENGINE, &governor.trace, guard.steps(), run_start);
         stats.note_intern(&Pool::global().stats().delta_since(&pool_t0));
@@ -348,8 +364,11 @@ impl DatalogProgram {
         let mut guard = governor.guard(EngineId::Datalog);
         let pool_t0 = Pool::global().stats();
         let run_start = engine_start(ENGINE, &governor.trace);
-        let (mut session, resume) =
-            dl_open_ckpt(&mut guard, stats, "inflationary", &self.rules, db);
+        let (mut session, resume) = guard.resume(
+            || dl_fingerprint("inflationary", &self.rules, db),
+            stats,
+            dl_fold,
+        );
         let (mut state, done) = match resume {
             // stratum 1 marks "the single fixpoint already converged":
             // the crash landed between the final commit and cleanup
@@ -357,7 +376,18 @@ impl DatalogProgram {
             None => (db.clone(), false),
         };
         if !done {
-            least_fixpoint(&rules, &mut state, &mut guard, stats, &mut session, 0)?;
+            let classes = vec![RuleClass::Snapshot; rules.len()];
+            fixpoint(
+                &rules,
+                &classes,
+                false,
+                &mut state,
+                &mut guard,
+                stats,
+                &mut session,
+                0,
+                None,
+            )?;
         }
         engine_end(ENGINE, &governor.trace, guard.steps(), run_start);
         stats.note_intern(&Pool::global().stats().delta_since(&pool_t0));
@@ -401,7 +431,11 @@ impl DatalogProgram {
         let mut guard = governor.guard(EngineId::Datalog);
         let pool_t0 = Pool::global().stats();
         let run_start = engine_start(ENGINE, &governor.trace);
-        let (mut session, resume) = dl_open_ckpt(&mut guard, stats, "seminaive", &self.rules, db);
+        let (mut session, resume) = guard.resume(
+            || dl_fingerprint("seminaive", &self.rules, db),
+            stats,
+            dl_fold,
+        );
         let (mut state, start, mut mid) = match resume {
             Some(r) => (r.state, r.stratum, Some((r.first, r.delta))),
             None => (db.clone(), 0, None),
@@ -413,11 +447,14 @@ impl DatalogProgram {
                 .enumerate()
                 .filter(|(_, r)| strata[&r.head.pred] == s)
                 .collect();
-            let recursive: BTreeSet<String> =
-                rules.iter().map(|(_, r)| r.head.pred.clone()).collect();
-            seminaive_fixpoint(
+            let recursive: BTreeSet<&str> =
+                rules.iter().map(|(_, r)| r.head.pred.as_str()).collect();
+            let classes: Vec<RuleClass> =
+                rules.iter().map(|(_, r)| classify(r, &recursive)).collect();
+            fixpoint(
                 &rules,
-                &recursive,
+                &classes,
+                true,
                 &mut state,
                 &mut guard,
                 stats,
@@ -561,31 +598,6 @@ fn dl_fold(rec: &ckpt::Recovered) -> Option<DlResume> {
     Some(r)
 }
 
-/// Open the guard's checkpoint session (if the governor configured one)
-/// and recover the last durable round of a matching interrupted run.
-/// When recovery succeeds the guard meters and `stats` are rewound to
-/// that round and the decoded loop state is returned for the caller to
-/// fast-forward into.
-fn dl_open_ckpt(
-    guard: &mut Guard,
-    stats: &mut EvalStats,
-    kind: &str,
-    rules: &[DlRule],
-    db: &Database,
-) -> (Option<ckpt::Session>, Option<DlResume>) {
-    let mut session = guard.ckpt_session(dl_fingerprint(kind, rules, db));
-    let mut resume = None;
-    if let Some(sess) = session.as_mut() {
-        if let Some(rec) = sess.recover() {
-            if let Some(r) = dl_fold(&rec) {
-                guard.adopt_recovery(&rec, stats);
-                resume = Some(r);
-            }
-        }
-    }
-    (session, resume)
-}
-
 /// Commit one completed round as an engine-level delta record (the full
 /// state is only serialized on the session's snapshot rounds). `added`
 /// carries the round's insertions when they differ from `delta`; `None`
@@ -613,17 +625,96 @@ fn dl_commit(
     }
 }
 
-/// Semi-naive least fixpoint for one stratum: the first round runs naive
-/// to seed the deltas; afterwards each rule fires once per positive
-/// recursive literal bound to the delta. Rules that read a recursive
-/// predicate through **negation** (only reachable when the caller feeds
-/// this engine an unstratified stratum) never qualify for delta
-/// restriction: their support is not monotone in the delta, so they
-/// re-fire from the full snapshot every round.
+/// How a rule takes part in a semi-naive stratum whose head predicates
+/// are `recursive`. Rules that read a recursive predicate through
+/// **negation** (only reachable when the caller feeds the engine an
+/// unstratified stratum) never qualify for delta restriction: their
+/// support is not monotone in the delta, so they re-fire from the full
+/// snapshot every round.
+fn classify(rule: &DlRule, recursive: &BTreeSet<&str>) -> RuleClass {
+    let reads = |positive: bool| {
+        rule.body
+            .iter()
+            .enumerate()
+            .filter(move |(_, l)| {
+                l.positive == positive && recursive.contains(l.atom.pred.as_str())
+            })
+            .map(|(i, _)| i)
+    };
+    if reads(false).next().is_some() {
+        return RuleClass::Snapshot;
+    }
+    let positions: Vec<usize> = reads(true).collect();
+    if positions.is_empty() {
+        RuleClass::Constant
+    } else {
+        RuleClass::Seminaive(positions)
+    }
+}
+
+/// One round's phase 1 (see [`crate::round`]): the firings `classes` call
+/// for, each reading the settled `state` through indexes prebuilt here,
+/// with delta-restricted literals reading `delta`. One buffer per unit,
+/// in canonical order; a stopped round surrenders `state` as is.
 #[allow(clippy::too_many_arguments)]
-fn seminaive_fixpoint(
+fn derive_round(
     rules: &[(usize, &DlRule)],
-    recursive: &BTreeSet<String>,
+    classes: &[RuleClass],
+    first: bool,
+    delta: &BTreeMap<String, Instance>,
+    state: &mut Database,
+    indexes: &mut IndexSet,
+    guard: &mut Guard,
+    stats: &mut EvalStats,
+    ctx: &mut RuleFirings,
+) -> Result<Vec<Vec<DerivedFact>>, DlError> {
+    let mut units = RoundUnits::new(guard.workers());
+    for (&(idx, rule), class) in rules.iter().zip(classes) {
+        units.push_rule(
+            idx,
+            rule,
+            class,
+            first,
+            |pos| delta.get(&rule.body[pos].atom.pred),
+            |d, _, k| {
+                shard_by_hash(d.iter().cloned(), k)
+                    .into_iter()
+                    .filter(|rows| !rows.is_empty())
+                    .map(Instance::from_values)
+                    .collect()
+            },
+        );
+    }
+    let units = units.into_units();
+    prebuild_indexes(&units, state, indexes);
+    let (snapshot, indexes): (&Database, &IndexSet) = (state, indexes);
+    let want_prov = ctx.want_provenance();
+    fire_round(&units, guard, stats, ctx, |unit, brake, out, st| {
+        // test-only panic injection: a rule whose head uses this reserved
+        // name simulates a buggy rule implementation blowing up inside a
+        // unit, so the structured-error path is testable end to end
+        #[cfg(test)]
+        if unit.rule.head.pred == "panic-inject!" {
+            panic!("injected rule panic");
+        }
+        fire_unit(unit, snapshot, indexes, want_prov, out, st, brake)
+    })
+    .map_err(|stop| stop.into_error(|trip| dl_exhaust(trip, state, stats)))
+}
+
+/// Least fixpoint of one stratum (of the whole program under inflationary
+/// semantics). Each round fires every rule as its class says and inserts
+/// the derivations. A semi-naive run keeps each round's insertions as the
+/// next round's delta: its first round runs naive to seed the deltas, and
+/// afterwards a rule fires once per positive recursive literal bound to
+/// the delta, from the full snapshot, or (constant support) not at all.
+/// A naive run classifies every rule [`RuleClass::Snapshot`] and keeps no
+/// delta; its checkpoint records carry the round's insertions instead.
+#[allow(clippy::too_many_arguments)]
+fn fixpoint(
+    rules: &[(usize, &DlRule)],
+    classes: &[RuleClass],
+    seminaive: bool,
     state: &mut Database,
     guard: &mut Guard,
     stats: &mut EvalStats,
@@ -657,117 +748,21 @@ fn seminaive_fixpoint(
             delta: delta.values().map(|d| d.len() as u64).sum(),
         });
         ctx.clear();
-        let workers = guard.workers();
-        let mut derived: Vec<DerivedFact> = Vec::new();
-        if workers > 1 {
-            // phase 1, parallel: build the round's firing units, shard
-            // the deltas by fact hash, and fan them across the pool. The
-            // settled state and its indexes are read-only until phase 2.
-            let mut units: Vec<FireUnit<'_>> = Vec::new();
-            let mut group = 0usize;
-            for &(idx, rule) in rules {
-                let rec_positions: Vec<usize> = rule
-                    .body
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, l)| l.positive && recursive.contains(&l.atom.pred))
-                    .map(|(i, _)| i)
-                    .collect();
-                let negates_recursive = rule
-                    .body
-                    .iter()
-                    .any(|l| !l.positive && recursive.contains(&l.atom.pred));
-                if first || rec_positions.is_empty() || negates_recursive {
-                    if !first && rec_positions.is_empty() && !negates_recursive {
-                        continue;
-                    }
-                    units.push(FireUnit {
-                        group,
-                        idx,
-                        rule,
-                        shard: None,
-                        count_prefix: true,
-                    });
-                    group += 1;
-                } else {
-                    for &pos in &rec_positions {
-                        push_delta_units(&mut units, &mut group, idx, rule, pos, &delta, workers);
-                    }
-                }
-            }
-            prebuild_indexes(&units, state, &mut indexes);
-            let brake = guard.par_brake();
-            derived = fire_units_parallel(
-                &units, state, &indexes, workers, &brake, guard, stats, &mut ctx,
-            )?;
-            if brake.should_stop() {
-                // a worker tripped the budget (or an external cancel
-                // landed) mid-round: nothing was inserted yet, so the
-                // state is exactly the last completed round's snapshot
-                let trip = if brake.engaged() {
-                    guard.brake_trip()
-                } else {
-                    match guard.check_point() {
-                        Err(trip) => trip,
-                        Ok(()) => guard.brake_trip(),
-                    }
-                };
-                return Err(dl_exhaust(trip, state, stats));
-            }
-        } else {
-            for &(idx, rule) in rules {
-                // which body positions are positive recursive literals?
-                let rec_positions: Vec<usize> = rule
-                    .body
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, l)| l.positive && recursive.contains(&l.atom.pred))
-                    .map(|(i, _)| i)
-                    .collect();
-                // a negated recursive literal makes the rule's support
-                // non-monotone: delta-restricted refiring is unsound for it
-                let negates_recursive = rule
-                    .body
-                    .iter()
-                    .any(|l| !l.positive && recursive.contains(&l.atom.pred));
-                if first || rec_positions.is_empty() || negates_recursive {
-                    // non-recursive rules have constant support after
-                    // round 0, so they only run in the first round;
-                    // snapshot-class rules (negated recursive read) run
-                    // every round
-                    if !first && rec_positions.is_empty() && !negates_recursive {
-                        continue;
-                    }
-                    fire_rule(
-                        rule,
-                        idx,
-                        state,
-                        &mut indexes,
-                        None,
-                        &mut derived,
-                        stats,
-                        &mut ctx,
-                    )?;
-                } else {
-                    for &pos in &rec_positions {
-                        fire_rule(
-                            rule,
-                            idx,
-                            state,
-                            &mut indexes,
-                            Some((&delta, pos)),
-                            &mut derived,
-                            stats,
-                            &mut ctx,
-                        )?;
-                    }
-                }
-            }
-        }
+        let derived = derive_round(
+            rules,
+            classes,
+            first,
+            &delta,
+            state,
+            &mut indexes,
+            guard,
+            stats,
+            &mut ctx,
+        )?;
         let mut new_delta: BTreeMap<String, Instance> = BTreeMap::new();
         let mut new_per_rule: BTreeMap<usize, u64> = BTreeMap::new();
         let mut changed = false;
-        for df in derived {
+        for df in derived.into_iter().flatten() {
             let DerivedFact {
                 pred,
                 row,
@@ -820,7 +815,6 @@ fn seminaive_fixpoint(
             guard.value_hwm() as u64,
             round_start,
         );
-        delta = new_delta;
         first = false;
         if !changed {
             dl_commit(
@@ -836,10 +830,27 @@ fn seminaive_fixpoint(
             );
             return Ok(());
         }
-        // the semi-naive delta is exactly the round's insertion set
-        dl_commit(
-            session, guard, stats, round, stratum, first, &delta, None, state,
-        );
+        if seminaive {
+            // the semi-naive delta is exactly the round's insertion set
+            delta = new_delta;
+            dl_commit(
+                session, guard, stats, round, stratum, first, &delta, None, state,
+            );
+        } else {
+            // naive rounds carry no delta, so the round's insertions ride
+            // in the checkpoint record separately
+            dl_commit(
+                session,
+                guard,
+                stats,
+                round,
+                stratum,
+                first,
+                &BTreeMap::new(),
+                Some(&new_delta),
+                state,
+            );
+        }
     }
 }
 
@@ -894,13 +905,15 @@ pub fn probe_plan<'r>(
     plan
 }
 
-/// How a join reaches an index cache: the sequential engines build
-/// indexes lazily on first probe; parallel workers share the cache
-/// read-only and may only use what was prebuilt.
+/// How the maintenance engine's (`uset-ivm`) joins reach an index cache:
+/// built on first probe, or — in its parallel rederive pass — shared
+/// read-only, where only prebuilt indexes are usable. The fixpoint
+/// engines here always prebuild a round's indexes and read them through
+/// a plain `&IndexSet`.
 pub enum IndexAccess<'a> {
-    /// Build-on-demand (sequential path).
+    /// Build-on-demand.
     Build(&'a mut IndexSet),
-    /// Prebuilt, read-only (parallel workers).
+    /// Prebuilt, read-only.
     Prebuilt(&'a IndexSet),
 }
 
@@ -916,36 +929,37 @@ impl IndexAccess<'_> {
     }
 }
 
-/// Evaluate one rule; if `shard` carries a body position, that literal is
-/// evaluated directly against the given (delta) instance instead of the
-/// full state. `count_prefix` controls whether work counters for literals
-/// *before* the sharded position are recorded: those literals evaluate
-/// identically in every shard of one firing, so exactly one shard counts
-/// them and the merged totals equal a sequential firing's. A `brake`, when
-/// present, is charged with the firing's derivation volume; once it
-/// engages the unit returns early with a truncated buffer (the caller
-/// ends the round through [`Guard::brake_trip`], so truncation is never
-/// observable in a completed fixpoint).
-#[allow(clippy::too_many_arguments)]
-fn fire_rule_core(
-    rule: &DlRule,
-    rule_idx: usize,
+/// A DATALOG¬ firing unit: the delta a restricted literal reads is one
+/// relation's rows.
+type DlUnit<'a> = FireUnit<'a, DlRule, Instance>;
+
+/// Fire one unit into `derived`: rule `unit.rule` against the settled
+/// `state`, probing the round's prebuilt `indexes`; a delta-restricted
+/// literal reads the unit's delta rows instead of the state. Work
+/// counters of the literals before that position go to `stats` only if
+/// the unit counts the prefix (see [`FireUnit`]). The `brake` is polled
+/// between literals and charged with the firing's derivation volume; once
+/// it stops the round the unit returns early with a truncated buffer,
+/// which is never observable because the round then ends in a trip.
+fn fire_unit(
+    unit: &DlUnit<'_>,
     state: &Database,
-    access: &mut IndexAccess<'_>,
-    shard: Option<(&Instance, usize)>,
-    count_prefix: bool,
+    indexes: &IndexSet,
     want_prov: bool,
     derived: &mut Vec<DerivedFact>,
     stats: &mut EvalStats,
-    brake: Option<&ParBrake>,
+    brake: &ParBrake,
 ) -> Result<(), DlError> {
+    let rule = unit.rule;
+    let shard = unit.delta.as_ref().map(|(d, pos)| (&**d, *pos));
+    let count_prefix = unit.count_prefix;
     let plan = probe_plan(rule, 0..rule.body.len(), &BTreeSet::new());
     let empty = Instance::empty();
     let shard_pos = shard.map(|(_, pos)| pos);
     let mut scratch = EvalStats::default();
     let mut bindings = vec![HashMap::new()];
     for (i, lit) in rule.body.iter().enumerate() {
-        if brake.is_some_and(ParBrake::should_stop) {
+        if brake.should_stop() {
             return Ok(());
         }
         let from_shard = shard_pos == Some(i);
@@ -961,10 +975,7 @@ fn fire_rule_core(
         } else {
             None
         };
-        let index = match probe_col {
-            Some(col) => access.index(&lit.atom.pred, col, rel),
-            None => None,
-        };
+        let index = probe_col.and_then(|col| indexes.get(&lit.atom.pred, col, rel.version()));
         let st: &mut EvalStats = if count_prefix || shard_pos.is_none_or(|pos| i >= pos) {
             stats
         } else {
@@ -977,10 +988,8 @@ fn fire_rule_core(
     }
     let produced = bindings.len() as u64;
     stats.tuples_derived += produced;
-    if let Some(br) = brake {
-        if !br.charge(produced) {
-            return Ok(());
-        }
+    if !brake.charge(produced) {
+        return Ok(());
     }
     let head_rel = state.get_ref(&rule.head.pred);
     for b in &bindings {
@@ -1001,7 +1010,7 @@ fn fire_rule_core(
         derived.push(DerivedFact {
             pred: rule.head.pred.clone(),
             row: Value::Tuple(row),
-            rule: rule_idx,
+            rule: unit.idx,
             parents,
         });
     }
@@ -1040,383 +1049,22 @@ fn settled_dup_probe(head: &DlAtom, b: &DlBindings, rel: Option<&Instance>) -> b
         .unwrap_or(false)
 }
 
-/// Sequential firing: one call = one recorded firing, indexes built on
-/// demand. If `delta` carries a body position, that literal reads the
-/// per-predicate delta relation.
-#[allow(clippy::too_many_arguments)]
-fn fire_rule(
-    rule: &DlRule,
-    rule_idx: usize,
-    state: &Database,
-    indexes: &mut IndexSet,
-    delta: Option<(&BTreeMap<String, Instance>, usize)>,
-    derived: &mut Vec<DerivedFact>,
-    stats: &mut EvalStats,
-    ctx: &mut RuleFirings,
-) -> Result<(), DlError> {
-    stats.rules_fired += 1;
-    let fire_start = ctx.enabled().then(Instant::now);
-    let before = derived.len();
+/// Build (or refresh), before the round fans out, every index a unit's
+/// probe plan can touch outside its delta-restricted literal, so units
+/// find a fresh read-only cache. Missing relations get an (empty) index
+/// too: a probe against an empty relation still counts as a probe.
+fn prebuild_indexes(units: &[DlUnit<'_>], state: &Database, indexes: &mut IndexSet) {
     let empty = Instance::empty();
-    let shard = delta.map(|(d, pos)| (d.get(&rule.body[pos].atom.pred).unwrap_or(&empty), pos));
-    fire_rule_core(
-        rule,
-        rule_idx,
-        state,
-        &mut IndexAccess::Build(indexes),
-        shard,
-        true,
-        ctx.want_provenance(),
-        derived,
-        stats,
-        None,
-    )?;
-    if let Some(t0) = fire_start {
-        ctx.record(
-            rule_idx,
-            (derived.len() - before) as u64,
-            t0.elapsed().as_micros() as u64,
-        );
-    }
-    Ok(())
-}
-
-/// One parallel phase-1 work unit: rule `idx` fired either from the full
-/// state (`shard: None`) or with body literal `pos` restricted to a hash
-/// shard of the round's delta. Units sharing a `group` correspond to one
-/// sequential `fire_rule` call; the merge counts the group as a single
-/// firing and concatenates its shard buffers in shard order.
-struct FireUnit<'a> {
-    group: usize,
-    idx: usize,
-    rule: &'a DlRule,
-    shard: Option<(Instance, usize)>,
-    count_prefix: bool,
-}
-
-/// A worker's buffers for one unit — derivations plus local counters,
-/// merged on the main thread in canonical unit order.
-struct UnitOutput {
-    derived: Vec<DerivedFact>,
-    stats: EvalStats,
-    wall: u64,
-}
-
-/// Prebuild, on the main thread, every index the units' probe plans can
-/// touch, so workers find a fresh read-only cache. Missing relations get
-/// an (empty) index too: a probe against an empty relation must still
-/// count as a probe for sequential/parallel stat parity.
-fn prebuild_indexes(units: &[FireUnit<'_>], state: &Database, indexes: &mut IndexSet) {
-    let empty = Instance::empty();
-    let mut done: BTreeSet<usize> = BTreeSet::new();
     for unit in units {
-        if !done.insert(unit.idx) {
-            continue;
-        }
-        let plan = probe_plan(unit.rule, 0..unit.rule.body.len(), &BTreeSet::new());
-        for (i, lit) in unit.rule.body.iter().enumerate() {
-            if let (true, Some(col)) = (lit.positive, plan[i]) {
+        let rule = unit.rule;
+        let delta_pos = unit.delta.as_ref().map(|(_, pos)| *pos);
+        let plan = probe_plan(rule, 0..rule.body.len(), &BTreeSet::new());
+        for (i, lit) in rule.body.iter().enumerate() {
+            if let (true, Some(col)) = (lit.positive && delta_pos != Some(i), plan[i]) {
                 let rel = state.get_ref(&lit.atom.pred).unwrap_or(&empty);
                 indexes.of_col(&lit.atom.pred, col, rel);
             }
         }
-    }
-}
-
-/// Fan one round's firing units across `workers` threads and merge the
-/// per-worker buffers in canonical (group, shard) order. Group-level
-/// firing counts and timings land in `stats`/`ctx` exactly as the
-/// sequential path records them; worker-local counters are summed in.
-#[allow(clippy::too_many_arguments)]
-fn fire_units_parallel(
-    units: &[FireUnit<'_>],
-    state: &Database,
-    indexes: &IndexSet,
-    workers: usize,
-    brake: &ParBrake,
-    guard: &Guard,
-    stats: &mut EvalStats,
-    ctx: &mut RuleFirings,
-) -> Result<Vec<DerivedFact>, DlError> {
-    let want_prov = ctx.want_provenance();
-    let timed = ctx.enabled();
-    let fired = try_par_map(workers, units, |_, unit| {
-        // test-only panic injection: a rule whose head uses this reserved
-        // name simulates a buggy rule implementation blowing up on a
-        // worker, so the structured-error path is testable end to end
-        #[cfg(test)]
-        if unit.rule.head.pred == "panic-inject!" {
-            panic!("injected rule panic");
-        }
-        let t0 = timed.then(Instant::now);
-        let mut out = UnitOutput {
-            derived: Vec::new(),
-            stats: EvalStats::default(),
-            wall: 0,
-        };
-        let shard = unit.shard.as_ref().map(|(s, pos)| (s, *pos));
-        let res = fire_rule_core(
-            unit.rule,
-            unit.idx,
-            state,
-            &mut IndexAccess::Prebuilt(indexes),
-            shard,
-            unit.count_prefix,
-            want_prov,
-            &mut out.derived,
-            &mut out.stats,
-            Some(brake),
-        );
-        if let Some(t0) = t0 {
-            out.wall = t0.elapsed().as_micros() as u64;
-        }
-        res.map(|()| out)
-    });
-    let outputs = match fired {
-        Ok(o) => o,
-        Err(_panic) => {
-            // a worker unit panicked: the pool drained cleanly, nothing
-            // was merged into the state — report a structured trip with
-            // the round-start snapshot instead of unwinding
-            return Err(DlError::Exhausted(Box::new(Exhausted::new(
-                guard.panic_trip(),
-                state.clone(),
-                *stats,
-            ))));
-        }
-    };
-    let mut derived = Vec::new();
-    let mut current: Option<(usize, usize, u64, u64)> = None; // (group, idx, produced, wall)
-    for (unit, res) in units.iter().zip(outputs) {
-        let out = res?;
-        match &mut current {
-            Some((group, _, produced, wall)) if *group == unit.group => {
-                *produced += out.derived.len() as u64;
-                *wall += out.wall;
-            }
-            _ => {
-                if let Some((_, idx, produced, wall)) = current.take() {
-                    ctx.record(idx, produced, wall);
-                }
-                stats.rules_fired += 1;
-                current = Some((unit.group, unit.idx, out.derived.len() as u64, out.wall));
-            }
-        }
-        stats.absorb(&out.stats);
-        derived.extend(out.derived);
-    }
-    if let Some((_, idx, produced, wall)) = current {
-        ctx.record(idx, produced, wall);
-    }
-    Ok(derived)
-}
-
-/// Shard one (rule, delta-position) firing into per-worker units. The
-/// delta's rows are partitioned by stable fact hash; empty shards are
-/// dropped (an empty delta keeps a single empty unit so the firing — and
-/// its prefix work — is still counted, as the sequential engine would).
-fn push_delta_units<'a>(
-    units: &mut Vec<FireUnit<'a>>,
-    group: &mut usize,
-    idx: usize,
-    rule: &'a DlRule,
-    pos: usize,
-    delta: &BTreeMap<String, Instance>,
-    workers: usize,
-) {
-    let empty = Instance::empty();
-    let d = delta.get(&rule.body[pos].atom.pred).unwrap_or(&empty);
-    let shards: Vec<Instance> = shard_by_hash(d.iter().cloned(), workers)
-        .into_iter()
-        .filter(|rows| !rows.is_empty())
-        .map(Instance::from_values)
-        .collect();
-    if shards.is_empty() {
-        units.push(FireUnit {
-            group: *group,
-            idx,
-            rule,
-            shard: Some((Instance::empty(), pos)),
-            count_prefix: true,
-        });
-    } else {
-        for (k, inst) in shards.into_iter().enumerate() {
-            units.push(FireUnit {
-                group: *group,
-                idx,
-                rule,
-                shard: Some((inst, pos)),
-                count_prefix: k == 0,
-            });
-        }
-    }
-    *group += 1;
-}
-
-fn least_fixpoint(
-    rules: &[(usize, &DlRule)],
-    state: &mut Database,
-    guard: &mut Guard,
-    stats: &mut EvalStats,
-    session: &mut Option<ckpt::Session>,
-    stratum: usize,
-) -> Result<(), DlError> {
-    let trace = guard.trace().clone();
-    let mut ctx = RuleFirings::new(ENGINE, &trace);
-    let mut indexes = IndexSet::new();
-    let mut facts = db_facts(state);
-    stats.observe_facts(facts);
-    if let Err(trip) = guard.set_fact_base(facts) {
-        return Err(dl_exhaust(trip, state, stats));
-    }
-    loop {
-        if let Err(trip) = guard.step() {
-            return Err(dl_exhaust(trip, state, stats));
-        }
-        stats.rounds += 1;
-        let round = guard.steps();
-        let round_start = trace.enabled().then(Instant::now);
-        trace.emit(|| TraceEvent::RoundStart {
-            engine: ENGINE.into(),
-            round,
-            delta: 0,
-        });
-        ctx.clear();
-        let workers = guard.workers();
-        let mut derived: Vec<DerivedFact> = Vec::new();
-        if workers > 1 {
-            // phase 1, parallel: naive rounds have no delta to shard, so
-            // each rule is one full-state unit and independent rules fire
-            // concurrently against the settled snapshot
-            let units: Vec<FireUnit<'_>> = rules
-                .iter()
-                .enumerate()
-                .map(|(group, &(idx, rule))| FireUnit {
-                    group,
-                    idx,
-                    rule,
-                    shard: None,
-                    count_prefix: true,
-                })
-                .collect();
-            prebuild_indexes(&units, state, &mut indexes);
-            let brake = guard.par_brake();
-            derived = fire_units_parallel(
-                &units, state, &indexes, workers, &brake, guard, stats, &mut ctx,
-            )?;
-            if brake.should_stop() {
-                let trip = if brake.engaged() {
-                    guard.brake_trip()
-                } else {
-                    match guard.check_point() {
-                        Err(trip) => trip,
-                        Ok(()) => guard.brake_trip(),
-                    }
-                };
-                return Err(dl_exhaust(trip, state, stats));
-            }
-        } else {
-            for &(idx, rule) in rules {
-                fire_rule(
-                    rule,
-                    idx,
-                    state,
-                    &mut indexes,
-                    None,
-                    &mut derived,
-                    stats,
-                    &mut ctx,
-                )?;
-            }
-        }
-        let mut changed = false;
-        let mut inserted: Vec<(String, Value)> = Vec::new();
-        let mut new_per_rule: BTreeMap<usize, u64> = BTreeMap::new();
-        for df in derived {
-            let DerivedFact {
-                pred,
-                row,
-                rule,
-                parents,
-            } = df;
-            if state.insert_row(&pred, &row) {
-                if let Some(inst) = state.get_ref(&pred) {
-                    indexes.note_insert(&pred, &row, inst);
-                }
-                facts += 1;
-                changed = true;
-                let charged = guard.add_fact();
-                if trace.enabled() {
-                    *new_per_rule.entry(rule).or_default() += 1;
-                }
-                if ctx.want_provenance() {
-                    let fact = render_fact(&pred, &row);
-                    let parents = parents.unwrap_or_default();
-                    trace.emit(move || TraceEvent::Derivation {
-                        engine: ENGINE.into(),
-                        round,
-                        rule,
-                        fact,
-                        parents,
-                    });
-                }
-                inserted.push((pred, row));
-                if let Err(trip) = charged {
-                    // roll the incomplete round back to the last
-                    // consistent state
-                    for (p, r) in &inserted {
-                        state.remove_row(p, r);
-                    }
-                    stats.observe_facts(facts);
-                    return Err(dl_exhaust(trip, state, stats));
-                }
-            }
-        }
-        stats.observe_facts(facts);
-        ctx.emit_round(
-            &trace,
-            round,
-            &new_per_rule,
-            facts as u64,
-            guard.value_hwm() as u64,
-            round_start,
-        );
-        if !changed {
-            dl_commit(
-                session,
-                guard,
-                stats,
-                round,
-                stratum + 1,
-                true,
-                &BTreeMap::new(),
-                None,
-                state,
-            );
-            return Ok(());
-        }
-        // naive rounds carry no delta, so the round's insertions ride
-        // in the checkpoint record separately
-        let added: BTreeMap<String, Instance> = if session.is_some() {
-            let mut m = BTreeMap::<String, Instance>::new();
-            for (p, r) in inserted {
-                m.entry(p).or_default().insert(r);
-            }
-            m
-        } else {
-            BTreeMap::new()
-        };
-        dl_commit(
-            session,
-            guard,
-            stats,
-            round,
-            stratum,
-            false,
-            &BTreeMap::new(),
-            Some(&added),
-            state,
-        );
     }
 }
 
@@ -2126,8 +1774,9 @@ mod par_tests {
 
     #[test]
     fn parallel_panicking_rule_is_structured_error() {
-        // a rule that panics on a worker must come back as a structured
-        // Exhausted(Panicked) error, not unwind through the pool or hang
+        // a rule that panics in a phase-1 unit must come back as a
+        // structured Exhausted(Panicked) error, not unwind through the
+        // pool or hang — inline at width 1 exactly as on a worker
         let prog = DatalogProgram {
             rules: vec![
                 DlRule::new(
@@ -2141,18 +1790,20 @@ mod par_tests {
             ],
         };
         let db = path_db(8);
-        let mut stats = EvalStats::default();
-        let err = prog
-            .eval_stratified_seminaive_governed(&db, &governor(4), &mut stats)
-            .unwrap_err();
-        let DlError::Exhausted(ex) = err else {
-            panic!("expected structured exhaustion, got {err:?}");
-        };
-        assert_eq!(ex.trip.resource, uset_guard::Resource::Panicked);
-        assert_eq!(ex.trip.engine, EngineId::Datalog);
-        // nothing from the panicking round was merged: the snapshot is
-        // the round-start state, which still holds the EDB intact
-        assert_eq!(ex.partial.get("E"), db.get("E"));
+        for workers in [1, 4] {
+            let mut stats = EvalStats::default();
+            let err = prog
+                .eval_stratified_seminaive_governed(&db, &governor(workers), &mut stats)
+                .unwrap_err();
+            let DlError::Exhausted(ex) = err else {
+                panic!("expected structured exhaustion, got {err:?}");
+            };
+            assert_eq!(ex.trip.resource, uset_guard::Resource::Panicked);
+            assert_eq!(ex.trip.engine, EngineId::Datalog);
+            // nothing from the panicking round was merged: the snapshot is
+            // the round-start state, which still holds the EDB intact
+            assert_eq!(ex.partial.get("E"), db.get("E"));
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@
 pub mod chain;
 pub mod col;
 pub mod datalog;
+mod round;
 
 pub use col::ast::{ColHead, ColLiteral, ColProgram, ColRule, ColTerm};
 pub use col::eval::{

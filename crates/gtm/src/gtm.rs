@@ -526,15 +526,14 @@ impl Gtm {
         let mut stats = EvalStats::default();
         let mut cfg = self.initial_config(tape1);
         let mut steps: u64 = 0;
-        let mut session = guard.ckpt_session(self.fingerprint(&cfg.tape1));
-        if let Some(sess) = session.as_mut() {
-            if let Some(rec) = sess.recover() {
-                if let Some(r) = gtm_decode(&rec.payload) {
-                    guard.adopt_recovery(&rec, &mut stats);
-                    cfg = r.cfg;
-                    steps = r.steps;
-                }
-            }
+        let (mut session, resume) = guard.resume(
+            || self.fingerprint(&cfg.tape1),
+            &mut stats,
+            |rec| gtm_decode(&rec.payload),
+        );
+        if let Some(r) = resume {
+            cfg = r.cfg;
+            steps = r.steps;
         }
         loop {
             if cfg.state == self.halt {

@@ -661,12 +661,41 @@ impl Guard {
     /// Open this run's durable checkpoint session, if the governor asked
     /// for one. `fingerprint` identifies the computation (hash program +
     /// input with [`ckpt::fnv64`]) so a shared directory never resumes a
-    /// *different* computation's state. Engines call
-    /// [`ckpt::Session::recover`] next, then [`Guard::adopt_recovery`]
-    /// once the recovered payload decodes.
+    /// *different* computation's state. Engines normally go through
+    /// [`Guard::resume`], which also recovers the last durable round.
     pub fn ckpt_session(&self, fingerprint: u64) -> Option<ckpt::Session> {
         let spec = self.ckpt_spec.as_ref()?;
         ckpt::Session::open(spec, self.engine.as_str(), fingerprint)
+    }
+
+    /// Open this run's checkpoint session (see [`Guard::ckpt_session`])
+    /// and recover the last durable round of a matching interrupted run.
+    /// `fingerprint` is only computed when the governor asked for
+    /// checkpoints (it hashes the whole program and input). `decode`
+    /// turns the recovered record into the engine's loop state; only when
+    /// it succeeds are the meters and `stats` rewound to that round
+    /// ([`Guard::adopt_recovery`]) and the state handed back. A record
+    /// that fails to decode is ignored: the run starts afresh.
+    pub fn resume<T>(
+        &mut self,
+        fingerprint: impl FnOnce() -> u64,
+        stats: &mut EvalStats,
+        decode: impl FnOnce(&ckpt::Recovered) -> Option<T>,
+    ) -> (Option<ckpt::Session>, Option<T>) {
+        let mut session = self
+            .ckpt_spec
+            .is_some()
+            .then(fingerprint)
+            .and_then(|fp| self.ckpt_session(fp));
+        let resumed = session
+            .as_mut()
+            .and_then(ckpt::Session::recover)
+            .and_then(|rec| {
+                let state = decode(&rec)?;
+                self.adopt_recovery(&rec, stats);
+                Some(state)
+            });
+        (session, resumed)
     }
 
     /// Adopt a recovered checkpoint: restore the meter counters and work
@@ -820,17 +849,22 @@ impl Guard {
     /// sub-object enumeration cap) that a looser budget does not raise.
     pub fn check_value(&mut self, size: usize, floor: Option<usize>) -> Result<(), Trip> {
         self.value_hwm = self.value_hwm.max(size);
-        let cap = match (self.budget.max_value_size, floor) {
-            (Some(b), Some(f)) => Some(b.min(f)),
-            (Some(b), None) => Some(b),
-            (None, f) => f,
-        };
-        if let Some(max) = cap {
+        if let Some(max) = self.value_cap(floor) {
             if size > max {
                 return Err(self.trip(Resource::ValueSize, size as u64, max as u64));
             }
         }
         Ok(())
+    }
+
+    /// The size cap [`Guard::check_value`] enforces for a given `floor`:
+    /// the tighter of the budget's value-size limit and the floor.
+    pub fn value_cap(&self, floor: Option<usize>) -> Option<usize> {
+        match (self.budget.max_value_size, floor) {
+            (Some(b), Some(f)) => Some(b.min(f)),
+            (Some(b), None) => Some(b),
+            (None, f) => f,
+        }
     }
 
     /// A pure cooperative checkpoint (cancellation / deadline /
@@ -845,56 +879,89 @@ impl Guard {
         self.workers
     }
 
-    /// A shared brake for one parallel derivation phase.
+    /// A shared brake for one derivation phase (phase 1 of a round).
     ///
-    /// Workers cannot charge the real (single-threaded, deterministic)
-    /// budget, but an unbraked phase 1 could materialize unbounded
-    /// candidate buffers a finite fact budget was supposed to prevent.
-    /// The brake gives workers an atomically debited allowance derived
-    /// from the facts *remaining* in this guard's budget, with slack for
-    /// deduplication (most raw derivations are duplicates of existing
-    /// facts): 4× the remaining headroom plus 1024. Under an unlimited
-    /// fact budget the allowance is unlimited and the brake only relays
-    /// cancellation. When the brake trips, the engine must surface it via
-    /// [`Guard::brake_trip`] — a truncated candidate buffer is not a
-    /// fixpoint, so evaluation cannot simply continue.
+    /// Phase-1 units cannot charge the real (single-threaded,
+    /// deterministic) budget, so the brake relays what they must still
+    /// observe: the run's [`CancelToken`], its wall-clock deadline, and —
+    /// above width 1 — a derivation allowance. An unbraked parallel phase
+    /// could materialize unbounded candidate buffers a finite fact budget
+    /// was supposed to prevent, so wider rounds get an atomically debited
+    /// allowance derived from the facts *remaining* in this guard's
+    /// budget, with slack for deduplication (most raw derivations are
+    /// duplicates of existing facts): 4× the remaining headroom plus 1024.
+    /// A width-1 round gets no allowance: it buffers exactly what the
+    /// sequential insertion phase then charges fact by fact, so its facts
+    /// trips land where the budget puts them. Under an unlimited fact
+    /// budget the allowance is unlimited at every width. When the brake
+    /// stops a round, the engine must surface it via [`Guard::brake_stop`]
+    /// — a truncated candidate buffer is not a fixpoint, so evaluation
+    /// cannot simply continue.
     pub fn par_brake(&self) -> ParBrake {
         let allowance = self
             .budget
             .max_facts
+            .filter(|_| self.workers > 1)
             .map(|max| (max.saturating_sub(self.facts) as u64).saturating_mul(4) + 1024);
+        let deadline = self
+            .budget
+            .max_wall
+            .and_then(|max| Instant::now().checked_add(max.saturating_sub(self.elapsed())));
         ParBrake {
             consumed: AtomicU64::new(0),
             allowance,
             tripped: AtomicBool::new(false),
             cancel: self.cancel.clone(),
+            deadline,
         }
     }
 
-    /// Convert an engaged [`ParBrake`] into an authoritative facts trip
+    /// The authoritative facts trip an engaged [`ParBrake`] stands for
     /// (emitting the usual `GuardTrip` event). The brake's allowance is a
     /// multiple of the remaining fact headroom, so an engaged brake means
-    /// the round's raw derivations alone overran the budget; the caller
-    /// rolls the round back first and then reports through this, exactly
-    /// as if phase 2 had charged the facts one by one.
-    pub fn brake_trip(&mut self) -> Trip {
+    /// the round's raw derivations alone overran the budget — reported
+    /// exactly as if phase 2 had charged the facts one by one.
+    fn brake_trip(&mut self) -> Trip {
         let limit = self.budget.max_facts.unwrap_or(self.facts) as u64;
         self.trip(Resource::Facts, self.facts as u64, limit)
     }
+
+    /// The trip a stopped [`ParBrake`] reports (see
+    /// [`ParBrake::should_stop`]); nothing of the stopped round was
+    /// inserted. An overdrawn allowance is a facts trip at the current
+    /// fact count; otherwise one cooperative checkpoint names
+    /// the cause — cancellation, a failpoint, or the deadline on a polled
+    /// tick — and a deadline the strided poll skipped is still reported
+    /// as [`Resource::Deadline`], never mislabelled as facts.
+    pub fn brake_stop(&mut self, brake: &ParBrake) -> Trip {
+        if brake.engaged() {
+            return self.brake_trip();
+        }
+        if let Err(trip) = self.check_point() {
+            return trip;
+        }
+        match self.budget.max_wall {
+            Some(max) if brake.past_deadline() => {
+                self.trip(Resource::Deadline, self.ticks, max.as_millis() as u64)
+            }
+            _ => self.brake_trip(),
+        }
+    }
 }
 
-/// Shared work allowance for one parallel phase: a lock-free counter the
-/// workers debit, plus the run's [`CancelToken`]. See
-/// [`Guard::par_brake`]. Workers poll [`ParBrake::should_stop`] between
-/// units and abandon their buffers when it fires; determinism is
-/// unaffected because an engaged brake always ends the run (via
-/// [`Guard::brake_trip`]) rather than feeding a truncated buffer onward.
+/// Shared stop signal for one derivation phase: a lock-free allowance
+/// counter the units debit, plus the run's [`CancelToken`] and deadline.
+/// See [`Guard::par_brake`]. Units poll [`ParBrake::should_stop`] between
+/// literals and abandon their buffers when it fires; determinism is
+/// unaffected because a stopped brake always ends the run (via
+/// [`Guard::brake_stop`]) rather than feeding a truncated buffer onward.
 #[derive(Debug)]
 pub struct ParBrake {
     consumed: AtomicU64,
     allowance: Option<u64>,
     tripped: AtomicBool,
     cancel: CancelToken,
+    deadline: Option<Instant>,
 }
 
 impl ParBrake {
@@ -911,16 +978,21 @@ impl ParBrake {
         true
     }
 
-    /// True once the allowance is overdrawn or the run is cancelled —
-    /// workers poll this between work units.
+    /// True once the allowance is overdrawn, the run is cancelled, or its
+    /// wall-clock deadline has passed — units poll this between literals.
     pub fn should_stop(&self) -> bool {
-        self.tripped.load(Ordering::Relaxed) || self.cancel.is_cancelled()
+        self.tripped.load(Ordering::Relaxed) || self.cancel.is_cancelled() || self.past_deadline()
     }
 
-    /// True if the allowance was overdrawn (as opposed to cancellation,
-    /// which the guard's own next tick reports with better provenance).
+    /// True if the allowance was overdrawn (as opposed to cancellation or
+    /// the deadline, which [`Guard::brake_stop`] reports as such).
     pub fn engaged(&self) -> bool {
         self.tripped.load(Ordering::Relaxed)
+    }
+
+    /// True once the run's wall-clock deadline has passed.
+    fn past_deadline(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() > d)
     }
 
     /// Total candidates debited so far.
@@ -1174,7 +1246,7 @@ mod tests {
 
     #[test]
     fn par_brake_engages_past_allowance_and_relays_cancel() {
-        let gov = Governor::new(Budget::unlimited().with_facts(10));
+        let gov = Governor::new(Budget::unlimited().with_facts(10)).with_par(ParConfig::workers(4));
         let g = gov.guard(EngineId::Datalog);
         let brake = g.par_brake();
         // allowance = 10 * 4 + 1024 = 1064
@@ -1184,6 +1256,13 @@ mod tests {
         assert!(brake.should_stop());
         assert!(brake.engaged());
         assert_eq!(brake.consumed(), 1065);
+        // a width-1 round buffers what phase 2 charges one by one, so its
+        // brake grants no allowance and never engages
+        let seq = Governor::new(Budget::unlimited().with_facts(10)).with_par(ParConfig::off());
+        let brake1 = seq.guard(EngineId::Datalog).par_brake();
+        assert!(brake1.charge(u64::MAX / 2));
+        assert!(!brake1.should_stop());
+        assert!(!brake1.engaged());
         // cancellation stops workers without marking the brake engaged
         let token = CancelToken::new();
         let gov2 = Governor::unlimited().with_cancel(token.clone());
@@ -1192,6 +1271,41 @@ mod tests {
         token.cancel();
         assert!(brake2.should_stop());
         assert!(!brake2.engaged());
+    }
+
+    #[test]
+    fn par_brake_relays_deadline_and_brake_stop_reports_it() {
+        let gov = Governor::new(Budget::unlimited().with_wall(Duration::from_millis(200)));
+        let mut g = gov.guard(EngineId::Col);
+        // warm the guard past the always-polled ticks, so the next
+        // checkpoint (tick 65) skips the strided deadline poll
+        for _ in 0..DEADLINE_STRIDE {
+            g.check_point().unwrap();
+        }
+        let brake = g.par_brake();
+        assert!(!brake.should_stop());
+        std::thread::sleep(Duration::from_millis(250));
+        assert!(brake.past_deadline());
+        assert!(brake.should_stop());
+        assert!(!brake.engaged());
+        let trip = g.brake_stop(&brake);
+        assert_eq!(trip.resource, Resource::Deadline);
+        assert_eq!(trip.limit, 200);
+        // an engaged allowance still reports facts, and cancellation is
+        // named by the checkpoint
+        let gov = Governor::new(Budget::unlimited().with_facts(0)).with_par(ParConfig::workers(2));
+        let mut g = gov.guard(EngineId::Col);
+        let brake = g.par_brake();
+        assert!(!brake.charge(2000));
+        assert_eq!(g.brake_stop(&brake).resource, Resource::Facts);
+        let token = CancelToken::new();
+        let mut g = Governor::unlimited()
+            .with_cancel(token.clone())
+            .guard(EngineId::Col);
+        let brake = g.par_brake();
+        token.cancel();
+        assert!(brake.should_stop());
+        assert_eq!(g.brake_stop(&brake).resource, Resource::Cancelled);
     }
 
     #[test]

@@ -6,10 +6,14 @@
 //! trace events). Phase 1 is pure — it only reads the snapshot — so it can
 //! fan out across threads without changing any observable behavior, as
 //! long as the per-worker result buffers are merged back in a canonical
-//! order. This crate provides exactly that primitive and nothing else:
+//! order. The fixpoint engines (DATALOG¬, COL, BK) run phase 1 through
+//! [`try_par_map`] at *every* width: at width 1 it runs the same units
+//! inline on the caller's thread, so there is no separate sequential
+//! path to drift from the parallel one. This crate provides exactly that
+//! primitive and nothing else:
 //!
 //! - [`ParConfig`]: worker-count selection (`USET_THREADS=off|N`, default
-//!   `off`, i.e. sequential — tier-1 behavior is unchanged unless opted in);
+//!   `off`, i.e. width 1 — no thread is spawned unless opted in);
 //! - [`par_map`]: an order-preserving parallel map on
 //!   [`std::thread::scope`] with dynamic work distribution — results come
 //!   back indexed by input position, so the merge order is the input
@@ -75,7 +79,7 @@ impl ParConfig {
 
     /// The effective worker count for a run starting now: the pinned
     /// width, or the current value of `USET_THREADS`. A result of 1 means
-    /// "stay on the sequential code path".
+    /// every phase runs inline on the caller's thread.
     pub fn resolve(&self) -> usize {
         match self.workers {
             Some(n) => n,
@@ -119,7 +123,8 @@ fn env_workers() -> usize {
 /// With `workers <= 1` (or fewer than two items) this runs inline on the
 /// caller's thread with no pool at all — the sequential code path is the
 /// parallel code path at width 1, which is what makes "parallel ≡
-/// sequential" testable rather than aspirational.
+/// sequential" testable rather than aspirational. The fixpoint engines
+/// call [`try_par_map`], the panic-isolating variant, at every width.
 ///
 /// Panics in `f` propagate to the caller after all workers stop.
 pub fn par_map<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>

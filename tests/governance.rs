@@ -323,9 +323,14 @@ proptest! {
 /// while a round's phase 1 is fanned out across threads must still leave
 /// the documented round-consistent partial snapshot: input facts intact,
 /// derived facts a subset of the unbudgeted fixpoint, never a torn round.
-/// Failpoint *tick positions* may differ from the sequential run (workers
-/// poll a shared brake instead of ticking the guard), so these tests
-/// assert the snapshot invariants, not tick-for-tick parity.
+/// Phase 1 runs the same units at every width and never ticks the guard
+/// (units poll a shared brake), and every tick — round steps, COL's
+/// per-rule checkpoints, BK's per-rule replay, phase-2 inserts — lands on
+/// the caller's thread in canonical order, so failpoint tick positions
+/// match the width-1 run. What still differs across widths is timing (which unit
+/// first sees a cancel or the deadline) and a finite facts budget, whose
+/// brake allowance exists only above width 1; these tests assert the
+/// snapshot invariants.
 mod parallel_governance {
     use super::*;
     use untyped_sets::calculus::invention::eval_fi_governed;
