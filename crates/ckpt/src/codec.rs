@@ -21,19 +21,18 @@
 //! the states they encode, and fixed widths keep torn-record detection
 //! trivial.
 
-//! **Structural sharing** (PR 10): when the `USET_INTERN` layer is on,
-//! an encoder deduplicates repeated subtrees — the first occurrence of a
-//! large node (structural size ≥ [`SHARE_MIN_SIZE`]) is written in full
-//! and assigned the next *post-order sequence number*; later occurrences
-//! write tag 3 + that number. The numbering depends only on structural
-//! content and encode order (pool ids are **never** written), so the
-//! bytes stay deterministic across processes and parallel widths.
-//! Decoders always accept tag 3 regardless of the knob, so payloads are
-//! knob-portable; with the knob off an encoder emits exactly the
-//! pre-sharing byte stream.
+//! **Structural sharing**: an encoder deduplicates repeated subtrees —
+//! the first occurrence of a large node (structural size ≥
+//! [`SHARE_MIN_SIZE`]) is written in full and assigned the next
+//! *post-order sequence number*; later occurrences write tag 3 + that
+//! number. The numbering depends only on structural content and encode
+//! order (pool ids are **never** written), so the bytes stay
+//! deterministic across processes and parallel widths. Tag 3 is
+//! optional on the wire: a stream with no backrefs (the format written
+//! before sharing existed) still decodes.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use uset_object::intern::{self, FxBuildHasher};
+use uset_object::intern::FxBuildHasher;
 use uset_object::{Atom, Database, EvalStats, Instance, ObjRef, Pool, Value};
 
 /// Minimum structural size ([`Value::size`]) for a subtree to join the
@@ -65,23 +64,12 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Byte-appending encoder. All `put_*` methods are infallible.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Enc {
     buf: Vec<u8>,
-    /// Subtree-sharing table, present iff interning was on when this
-    /// encoder was created (snapshotted once so a mid-encode knob flip
-    /// cannot produce a mixed stream). Maps pool id → post-order
-    /// sequence number of the node's first occurrence in this stream.
-    share: Option<HashMap<ObjRef, u64, FxBuildHasher>>,
-}
-
-impl Default for Enc {
-    fn default() -> Enc {
-        Enc {
-            buf: Vec::new(),
-            share: intern::enabled().then(HashMap::default),
-        }
-    }
+    /// Subtree-sharing table: pool id → post-order sequence number of
+    /// the node's first occurrence in this stream.
+    share: HashMap<ObjRef, u64, FxBuildHasher>,
 }
 
 impl Enc {
@@ -146,50 +134,15 @@ impl Enc {
         }
     }
 
-    /// A [`Value`] tree (a DAG on the wire when sharing is on).
-    pub fn put_value(&mut self, v: &Value) {
-        if self.share.is_some() {
-            self.put_value_shared(v);
-        } else {
-            self.put_value_plain(v);
-        }
-    }
-
-    /// The pre-sharing encoding: a pure tree walk, byte-for-byte the
-    /// `USET_INTERN=off` stream.
-    fn put_value_plain(&mut self, v: &Value) {
-        match v {
-            Value::Atom(a) => {
-                self.put_u8(0);
-                self.put_atom(*a);
-            }
-            Value::Tuple(items) => {
-                self.put_u8(1);
-                self.put_usize(items.len());
-                for item in items {
-                    self.put_value_plain(item);
-                }
-            }
-            Value::Set(items) => {
-                self.put_u8(2);
-                self.put_usize(items.len());
-                for item in items {
-                    self.put_value_plain(item);
-                }
-            }
-        }
-    }
-
-    /// Sharing encoding: each distinct subtree of size ≥
-    /// [`SHARE_MIN_SIZE`] is written once; repeats become tag-3
+    /// A [`Value`], as a DAG on the wire: each distinct subtree of size
+    /// ≥ [`SHARE_MIN_SIZE`] is written once; repeats become tag-3
     /// backrefs to its post-order sequence number.
-    fn put_value_shared(&mut self, v: &Value) {
+    pub fn put_value(&mut self, v: &Value) {
         let pool = Pool::global();
         let id = pool.intern(v);
         let shareable = pool.meta(id).size >= SHARE_MIN_SIZE;
         if shareable {
-            let table = self.share.as_ref().expect("shared path implies table");
-            if let Some(&seq) = table.get(&id) {
+            if let Some(&seq) = self.share.get(&id) {
                 self.put_u8(3);
                 self.put_u64(seq);
                 return;
@@ -204,14 +157,14 @@ impl Enc {
                 self.put_u8(1);
                 self.put_usize(items.len());
                 for item in items {
-                    self.put_value_shared(item);
+                    self.put_value(item);
                 }
             }
             Value::Set(items) => {
                 self.put_u8(2);
                 self.put_usize(items.len());
                 for item in items {
-                    self.put_value_shared(item);
+                    self.put_value(item);
                 }
             }
         }
@@ -219,9 +172,8 @@ impl Enc {
             // Post-order numbering: children (encoded just above) took
             // earlier numbers, exactly mirroring the decoder, which can
             // only record a node after constructing it.
-            let table = self.share.as_mut().expect("shared path implies table");
-            let seq = table.len() as u64;
-            table.insert(id, seq);
+            let seq = self.share.len() as u64;
+            self.share.insert(id, seq);
         }
     }
 
@@ -270,9 +222,8 @@ pub struct Dec<'a> {
     b: &'a [u8],
     i: usize,
     /// Decoded subtrees of size ≥ [`SHARE_MIN_SIZE`] in post-order —
-    /// the mirror of the encoder's sharing table, maintained
-    /// unconditionally so any decoder accepts tag-3 backrefs no matter
-    /// which knob setting wrote the payload.
+    /// the mirror of the encoder's sharing table. A stream without
+    /// backrefs never reads it.
     seen: Vec<Value>,
 }
 
@@ -650,12 +601,32 @@ mod tests {
         assert!(Dec::new(&bytes).len_prefix().is_err());
     }
 
-    /// A value whose subtrees repeat (the powerset shape): the shared
-    /// encoding must be smaller than the plain one, decode to the same
-    /// value through either knob, and the plain stream must be
-    /// byte-identical to the pre-sharing format.
-    #[test]
-    fn shared_encoding_roundtrips_and_dedups() {
+    /// The tree-only encoding of [`repeat_heavy`] (no tag-3 backrefs),
+    /// byte for byte as encoders wrote it before structural sharing
+    /// existed. Snapshots in this format must stay readable.
+    #[rustfmt::skip]
+    const PLAIN_REPEAT_HEAVY: &[u8] = &[
+        2, 3, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 1, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 2, 3, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 6, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 1, 5, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0,
+        0, 0, 0, 0, 0, 2, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0,
+        0, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0,
+        0, 0, 0, 1, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 2, 3, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0,
+    ];
+
+    /// A value whose subtrees repeat (the powerset shape): one size-9
+    /// tuple occurs three times.
+    fn repeat_heavy() -> Value {
         use uset_object::{set, tuple};
         let big = tuple([
             atom(1),
@@ -664,8 +635,7 @@ mod tests {
             atom(4),
             set([atom(5), atom(6), atom(7)]),
         ]);
-        // the same big subtree appears three times
-        let v = Value::Set(
+        Value::Set(
             [
                 tuple([atom(0), big.clone()]),
                 tuple([atom(9), big.clone()]),
@@ -673,33 +643,35 @@ mod tests {
             ]
             .into_iter()
             .collect(),
-        );
+        )
+    }
 
-        let was = uset_object::intern::enabled();
-        uset_object::intern::set_enabled(false);
-        let mut plain = Enc::new();
-        plain.put_value(&v);
-        let plain_bytes = plain.finish();
-
-        uset_object::intern::set_enabled(true);
+    /// The shared encoding of a repeat-heavy value round-trips and is
+    /// strictly shorter than the tree-only one, and the pinned tree-only
+    /// bytes still decode to the same value.
+    #[test]
+    fn shared_encoding_roundtrips_and_dedups() {
+        let v = repeat_heavy();
         let mut shared = Enc::new();
         shared.put_value(&v);
         let shared_bytes = shared.finish();
-        uset_object::intern::set_enabled(was);
-
         assert!(
-            shared_bytes.len() < plain_bytes.len(),
+            shared_bytes.len() < PLAIN_REPEAT_HEAVY.len(),
             "sharing must shrink a repeat-heavy payload ({} vs {})",
             shared_bytes.len(),
-            plain_bytes.len()
+            PLAIN_REPEAT_HEAVY.len()
         );
-        // both streams decode to the same value, with any decoder
-        let mut d1 = Dec::new(&plain_bytes);
-        assert_eq!(d1.value().unwrap(), v);
-        assert!(d1.done());
-        let mut d2 = Dec::new(&shared_bytes);
-        assert_eq!(d2.value().unwrap(), v);
-        assert!(d2.done());
+        let mut d = Dec::new(&shared_bytes);
+        assert_eq!(d.value().unwrap(), v);
+        assert!(d.done());
+    }
+
+    /// A stream written without backrefs still decodes.
+    #[test]
+    fn tree_only_fixture_still_decodes() {
+        let mut d = Dec::new(PLAIN_REPEAT_HEAVY);
+        assert_eq!(d.value().unwrap(), repeat_heavy());
+        assert!(d.done());
     }
 
     /// A backref pointing past the table (corruption) fails closed.
@@ -731,17 +703,21 @@ mod tests {
             Value::Tuple(vec![atom(2), member.clone()]),
             Value::Tuple(vec![atom(3), member.clone()]),
         ]);
-        let was = uset_object::intern::enabled();
-        uset_object::intern::set_enabled(true);
         let mut e = Enc::new();
         e.put_instance(&inst);
         let bytes = e.finish();
-        uset_object::intern::set_enabled(false);
-        let mut plain = Enc::new();
-        plain.put_instance(&inst);
-        let plain_bytes = plain.finish();
-        uset_object::intern::set_enabled(was);
-        assert!(bytes.len() < plain_bytes.len());
+        // each member alone holds `member` once, so encoding them with
+        // one encoder apiece (after the 8-byte length prefix) cannot
+        // share it
+        let separate: usize = 8 + inst
+            .iter()
+            .map(|m| {
+                let mut one = Enc::new();
+                one.put_value(m);
+                one.len()
+            })
+            .sum::<usize>();
+        assert!(bytes.len() < separate);
         let mut d = Dec::new(&bytes);
         assert_eq!(d.instance().unwrap(), inst);
         assert!(d.done());

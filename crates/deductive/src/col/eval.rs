@@ -44,7 +44,7 @@ use uset_guard::ckpt;
 use uset_guard::trace::span::{engine_end, engine_start, RuleFirings};
 use uset_guard::trace::TraceEvent;
 use uset_guard::{Budget, EngineId, Exhausted, Governor, Guard, ParBrake, Resource, Trip};
-use uset_object::{intern, Database, EvalStats, IndexSet, Instance, Pool, Value};
+use uset_object::{Database, EvalStats, IndexSet, Instance, Pool, Value};
 use uset_par::shard_of;
 
 /// Evaluation state: predicate extents and data-function graphs.
@@ -325,20 +325,6 @@ fn match_pred_row(
     Ok(())
 }
 
-/// Probe `[ground…] ∈ rel` for a negated n-ary literal without
-/// materializing the probe tuple: with the pool on and the relation's id
-/// sidecar current, the ground argument values intern to an [`ObjRef`]
-/// and membership is a hash-set lookup. `None` means a fast-path
-/// precondition failed and the caller must build the tuple.
-///
-/// [`ObjRef`]: uset_object::ObjRef
-fn negated_tuple_probe(rel: &Instance, ground: &[Value]) -> Option<bool> {
-    if !intern::enabled() {
-        return None;
-    }
-    rel.contains_ref(Pool::global().intern_tuple_slice(ground))
-}
-
 /// Per-round delta: facts newly inserted in the previous round.
 #[derive(Clone, Debug, Default)]
 struct ColDelta {
@@ -430,10 +416,11 @@ fn extend(
                     let present = if ground.len() == 1 {
                         rel.contains(&ground[0])
                     } else {
-                        // with the pool on and the relation's id sidecar
-                        // current, probe by ObjRef instead of building
-                        // the tuple just to hash it and throw it away
-                        match negated_tuple_probe(rel, &ground) {
+                        // with the relation's id sidecar current, probe by
+                        // ObjRef instead of building the tuple just to
+                        // hash it and throw it away
+                        let id = Pool::global().intern_tuple_slice(&ground);
+                        match rel.contains_ref(id) {
                             Some(hit) => hit,
                             None => rel.contains(&Value::Tuple(ground)),
                         }
@@ -1308,23 +1295,6 @@ pub fn stratified(
     )
 }
 
-/// Stratified semantics with the naive reference engine. Produces a state
-/// identical to [`stratified`]; the differential tests and the
-/// `ablation/col_naive_vs_seminaive` bench compare the two.
-pub fn stratified_naive(
-    prog: &ColProgram,
-    db: &Database,
-    config: &ColConfig,
-) -> Result<ColState, ColEvalError> {
-    stratified_with(
-        prog,
-        db,
-        config,
-        ColStrategy::Naive,
-        &mut EvalStats::default(),
-    )
-}
-
 /// Stratified semantics with an explicit strategy and work counters
 /// accumulated into `stats`.
 pub fn stratified_with(
@@ -1414,22 +1384,6 @@ pub fn inflationary(
         db,
         config,
         ColStrategy::Seminaive,
-        &mut EvalStats::default(),
-    )
-}
-
-/// Inflationary semantics with the naive reference engine. Produces a
-/// state identical to [`inflationary`].
-pub fn inflationary_naive(
-    prog: &ColProgram,
-    db: &Database,
-    config: &ColConfig,
-) -> Result<ColState, ColEvalError> {
-    inflationary_with(
-        prog,
-        db,
-        config,
-        ColStrategy::Naive,
         &mut EvalStats::default(),
     )
 }

@@ -22,9 +22,7 @@ use uset_guard::ckpt;
 use uset_guard::trace::span::{engine_end, engine_start, RuleFirings};
 use uset_guard::trace::TraceEvent;
 use uset_guard::{Budget, EngineId, Exhausted, Governor, Guard, ParBrake, Trip};
-use uset_object::{
-    intern, ColumnIndex, Database, EvalStats, IndexSet, Instance, ObjRef, Pool, Value,
-};
+use uset_object::{ColumnIndex, Database, EvalStats, IndexSet, Instance, ObjRef, Pool, Value};
 use uset_par::shard_by_hash;
 
 /// A term: a variable or a constant atom value.
@@ -269,18 +267,11 @@ impl DatalogProgram {
     /// Stratified evaluation: returns the database extended with all IDB
     /// relations.
     pub fn eval_stratified(&self, db: &Database, fuel: u64) -> Result<Database, DlError> {
-        self.eval_stratified_with_stats(db, fuel, &mut EvalStats::default())
-    }
-
-    /// [`Self::eval_stratified`] with work counters accumulated into
-    /// `stats`.
-    pub fn eval_stratified_with_stats(
-        &self,
-        db: &Database,
-        fuel: u64,
-        stats: &mut EvalStats,
-    ) -> Result<Database, DlError> {
-        self.eval_stratified_governed(db, &Governor::new(fuel_budget(fuel)), stats)
+        self.eval_stratified_governed(
+            db,
+            &Governor::new(fuel_budget(fuel)),
+            &mut EvalStats::default(),
+        )
     }
 
     /// Stratified evaluation under a shared-layer [`Governor`] (one guard
@@ -338,18 +329,11 @@ impl DatalogProgram {
 
     /// Inflationary evaluation: all rules fire cumulatively until fixpoint.
     pub fn eval_inflationary(&self, db: &Database, fuel: u64) -> Result<Database, DlError> {
-        self.eval_inflationary_with_stats(db, fuel, &mut EvalStats::default())
-    }
-
-    /// [`Self::eval_inflationary`] with work counters accumulated into
-    /// `stats`.
-    pub fn eval_inflationary_with_stats(
-        &self,
-        db: &Database,
-        fuel: u64,
-        stats: &mut EvalStats,
-    ) -> Result<Database, DlError> {
-        self.eval_inflationary_governed(db, &Governor::new(fuel_budget(fuel)), stats)
+        self.eval_inflationary_governed(
+            db,
+            &Governor::new(fuel_budget(fuel)),
+            &mut EvalStats::default(),
+        )
     }
 
     /// Inflationary evaluation under a shared-layer [`Governor`].
@@ -404,18 +388,11 @@ impl DatalogProgram {
     /// [`Self::eval_stratified`]; the ablation bench
     /// `ablation/naive_vs_seminaive` measures the speed difference.
     pub fn eval_stratified_seminaive(&self, db: &Database, fuel: u64) -> Result<Database, DlError> {
-        self.eval_stratified_seminaive_with_stats(db, fuel, &mut EvalStats::default())
-    }
-
-    /// [`Self::eval_stratified_seminaive`] with work counters accumulated
-    /// into `stats`.
-    pub fn eval_stratified_seminaive_with_stats(
-        &self,
-        db: &Database,
-        fuel: u64,
-        stats: &mut EvalStats,
-    ) -> Result<Database, DlError> {
-        self.eval_stratified_seminaive_governed(db, &Governor::new(fuel_budget(fuel)), stats)
+        self.eval_stratified_seminaive_governed(
+            db,
+            &Governor::new(fuel_budget(fuel)),
+            &mut EvalStats::default(),
+        )
     }
 
     /// Semi-naive stratified evaluation under a shared-layer [`Governor`].
@@ -1020,8 +997,8 @@ fn fire_unit(
 /// A head fact already present in the settled state has no observable
 /// effect downstream: the apply loop's `insert_row` returns false and
 /// takes no branch — no fact count, no guard charge, no trace or
-/// provenance event. When the pool is on and the head relation's id
-/// sidecar can answer membership, detect that case from the *borrowed*
+/// provenance event. When the head relation's id sidecar can answer
+/// membership, detect that case from the *borrowed*
 /// binding values and skip materializing the row (and its provenance)
 /// entirely — in a saturating fixpoint most firings re-derive settled
 /// facts, and building each as a fresh tuple tree dominated the round.
@@ -1031,9 +1008,6 @@ fn fire_unit(
 /// head variable falls through so the materializing path raises the
 /// same safety error it always did.
 fn settled_dup_probe(head: &DlAtom, b: &DlBindings, rel: Option<&Instance>) -> bool {
-    if !intern::enabled() {
-        return false;
-    }
     let Some(rel) = rel else { return false };
     let mut refs: Vec<ObjRef> = Vec::with_capacity(head.args.len());
     for t in &head.args {
@@ -1073,8 +1047,7 @@ fn prebuild_indexes(units: &[DlUnit<'_>], state: &Database, indexes: &mut IndexS
 /// binding one row element extends, so the id is computed at most once
 /// per distinct element per join loop — a saturating fixpoint that
 /// dup-probes the same element thousands of times pays one deep hash
-/// instead of one per probe. The cell is only filled when the pool knob
-/// is on; plain runs never touch it.
+/// instead of one per probe.
 #[derive(Debug)]
 pub struct BoundVal {
     v: Value,
@@ -1329,7 +1302,11 @@ pub fn extend_bindings(
                 });
             }
             let present = if rows.hide.is_none() && rows.extra.is_none() {
-                match negated_probe(rows.rel, &vals) {
+                // when the relation's id sidecar can answer, the borrowed
+                // values intern straight to an ObjRef and membership is
+                // a hash-set lookup, with no tuple built
+                let id = Pool::global().intern_tuple_slice(vals.iter().copied());
+                match rows.rel.contains_ref(id) {
                     Some(hit) => hit,
                     None => rows
                         .rel
@@ -1346,20 +1323,6 @@ pub fn extend_bindings(
         }
     }
     Ok(out)
-}
-
-/// Probe `[vals…] ∈ rel` for a negated literal without materializing the
-/// tuple: when the pool is on and the relation's id sidecar is current,
-/// the borrowed argument values intern straight to an [`ObjRef`] and
-/// membership is a hash-set lookup. `None` means a fast-path precondition
-/// failed and the caller must fall back to building the tuple.
-///
-/// [`ObjRef`]: uset_object::ObjRef
-fn negated_probe(rel: &Instance, vals: &[&Value]) -> Option<bool> {
-    if !intern::enabled() {
-        return None;
-    }
-    rel.contains_ref(Pool::global().intern_tuple_slice(vals.iter().copied()))
 }
 
 #[cfg(test)]
@@ -1397,15 +1360,14 @@ mod tests {
     }
 
     #[test]
-    fn extend_bindings_counter_contract_is_knob_independent() {
+    fn extend_bindings_counter_contract() {
         // `scan_fallbacks` fires only when a probe column is ground but no
         // index is usable (a `IndexAccess::Prebuilt` cache miss); the
         // governed engines prebuild every probe column, so end-to-end runs
         // keep it at 0. Pin the counting contract at the source instead:
         // one index hit counts one probe, a ground column without an index
         // counts one fallback, plain scans and negated membership probes
-        // count nothing — identically with the pool on and off, since the
-        // interned negated-probe path must be observationally invisible.
+        // count nothing, whether or not the interned negated probe answers.
         let rel = Instance::from_rows((0..8u64).map(|i| [atom(i), atom(i + 1)]));
         let lit = DlLiteral {
             positive: true,
@@ -1418,40 +1380,32 @@ mod tests {
         let bindings = vec![HashMap::new()];
         let idx = ColumnIndex::build_on(&rel, 0);
 
-        let mut runs = Vec::new();
-        for on in [true, false] {
-            intern::set_enabled(on);
-            let mut stats = EvalStats::default();
-            let hit = extend_bindings(
-                &lit,
-                Some(0),
-                &bindings,
-                LitRows::of(&rel, Some(&idx)),
-                &mut stats,
-            )
-            .unwrap();
-            let scan = extend_bindings(
-                &lit,
-                Some(0),
-                &bindings,
-                LitRows::of(&rel, None),
-                &mut stats,
-            )
-            .unwrap();
-            let plain = extend_bindings(&lit, None, &bindings, LitRows::of(&rel, None), &mut stats)
-                .unwrap();
-            let negated =
-                extend_bindings(&neg, None, &bindings, LitRows::of(&rel, None), &mut stats)
-                    .unwrap();
-            assert_eq!(stats.index_probes, 1, "one bucket probe (knob={on})");
-            assert_eq!(stats.scan_fallbacks, 1, "one scan fallback (knob={on})");
-            assert_eq!(hit, scan, "probe and fallback agree on bindings");
-            assert_eq!(scan, plain);
-            assert!(negated.is_empty(), "E(3,4) holds, so ¬E(3,4) filters");
-            runs.push((hit, negated, stats));
-        }
-        intern::set_enabled(true);
-        assert_eq!(runs[0], runs[1], "pooled and plain runs are identical");
+        let mut stats = EvalStats::default();
+        let hit = extend_bindings(
+            &lit,
+            Some(0),
+            &bindings,
+            LitRows::of(&rel, Some(&idx)),
+            &mut stats,
+        )
+        .unwrap();
+        let scan = extend_bindings(
+            &lit,
+            Some(0),
+            &bindings,
+            LitRows::of(&rel, None),
+            &mut stats,
+        )
+        .unwrap();
+        let plain =
+            extend_bindings(&lit, None, &bindings, LitRows::of(&rel, None), &mut stats).unwrap();
+        let negated =
+            extend_bindings(&neg, None, &bindings, LitRows::of(&rel, None), &mut stats).unwrap();
+        assert_eq!(stats.index_probes, 1, "one bucket probe");
+        assert_eq!(stats.scan_fallbacks, 1, "one scan fallback");
+        assert_eq!(hit, scan, "probe and fallback agree on bindings");
+        assert_eq!(scan, plain);
+        assert!(negated.is_empty(), "E(3,4) holds, so ¬E(3,4) filters");
     }
 
     #[test]

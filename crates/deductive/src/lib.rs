@@ -25,9 +25,8 @@ mod round;
 
 pub use col::ast::{ColHead, ColLiteral, ColProgram, ColRule, ColTerm};
 pub use col::eval::{
-    inflationary, inflationary_governed, inflationary_naive, inflationary_with, stratified,
-    stratified_governed, stratified_naive, stratified_with, ColConfig, ColEvalError, ColExhausted,
-    ColState, ColStrategy,
+    inflationary, inflationary_governed, inflationary_with, stratified, stratified_governed,
+    stratified_with, ColConfig, ColEvalError, ColExhausted, ColState, ColStrategy,
 };
 pub use datalog::{DatalogProgram, DlAtom, DlError, DlExhausted, DlLiteral, DlRule, DlTerm};
 pub use uset_object::EvalStats;

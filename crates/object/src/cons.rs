@@ -330,7 +330,7 @@ pub fn ordinal_chain(seed: Atom, len: usize) -> Vec<Value> {
     chain.push(Value::Atom(seed));
     while chain.len() < len {
         // must stay in tree form: element k+1 contains copies of all
-        // previous elements (the pool shares them when interning is on)
+        // previous elements (the pool shares them once interned)
         let next = Value::Set(chain.iter().cloned().collect());
         chain.push(next);
     }

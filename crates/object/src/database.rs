@@ -7,7 +7,7 @@
 
 use crate::atom::Atom;
 use crate::error::{ObjectError, Result};
-use crate::intern::{self, FxBuildHasher, ObjRef, Pool};
+use crate::intern::{FxBuildHasher, ObjRef, Pool};
 use crate::rtype::{RType, Type};
 use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -54,9 +54,8 @@ pub struct Instance {
     /// instance, or a run of rejected duplicate inserts (fixpoint
     /// extents) — and never eagerly on construction, so distinct-heavy
     /// enumeration results (powersets, `cons_T`) pay nothing for it.
-    /// Consulted only while `USET_INTERN` is on; representation
-    /// metadata, never content — equality, ordering, hashing and
-    /// `Debug` ignore it.
+    /// Representation metadata, never content — equality, ordering,
+    /// hashing and `Debug` ignore it.
     refs: OnceLock<Box<RefSet>>,
     /// Duplicate inserts rejected while no sidecar existed — the
     /// adaptive trigger for building one (see [`DUP_SIDECAR_AFTER`]).
@@ -175,24 +174,20 @@ impl Instance {
         )
     }
 
-    /// The sidecar, iff it is live: interning on and stamp current.
+    /// The sidecar, iff it is live (stamp current).
     fn valid_refs(&self) -> Option<&RefSet> {
-        if !intern::enabled() {
-            return None;
-        }
         self.refs
             .get()
             .map(|b| &**b)
             .filter(|rs| rs.stamp == self.version)
     }
 
-    /// True iff a mutation can maintain the sidecar in place. A sidecar
-    /// that can no longer follow (stale stamp, or the knob turned off
-    /// mid-stream) is discarded here rather than ever serving wrong ids,
+    /// True iff a mutation can maintain the sidecar in place. A stale
+    /// sidecar is discarded here rather than ever serving wrong ids,
     /// which also lets a later probe rebuild it against fresh contents.
     fn live_sidecar(&mut self) -> bool {
         match self.refs.get() {
-            Some(rs) if rs.stamp == self.version && intern::enabled() => true,
+            Some(rs) if rs.stamp == self.version => true,
             Some(_) => {
                 self.refs = OnceLock::new();
                 false
@@ -206,9 +201,6 @@ impl Instance {
     /// a dedup-heavy accumulator (a fixpoint extent) rather than a
     /// distinct-heavy enumeration result.
     fn note_duplicate(&mut self) {
-        if !intern::enabled() {
-            return;
-        }
         self.dup_rejects = self.dup_rejects.saturating_add(1);
         if self.dup_rejects >= DUP_SIDECAR_AFTER {
             self.dup_rejects = 0;
@@ -325,7 +317,7 @@ impl Instance {
     /// instances answer from the B-tree directly — interning the probe
     /// would cost more than the lookup it replaces.
     pub fn contains(&self, v: &Value) -> bool {
-        if intern::enabled() && self.values.len() >= SIDECAR_PROBE_MIN {
+        if self.values.len() >= SIDECAR_PROBE_MIN {
             let rs = self
                 .refs
                 .get_or_init(|| Box::new(build_refs(&self.values, self.version)));
@@ -344,9 +336,6 @@ impl Instance {
     /// [`Instance::contains`], the first probe against a large instance
     /// builds the sidecar.
     pub fn contains_ref(&self, id: ObjRef) -> Option<bool> {
-        if !intern::enabled() {
-            return None;
-        }
         if self.values.len() >= SIDECAR_PROBE_MIN {
             let rs = self
                 .refs
@@ -911,30 +900,25 @@ mod tests {
     }
 
     /// The id sidecar must answer membership exactly as the tree does,
-    /// across every mutation path and both knob settings.
+    /// across every mutation path.
     #[test]
     fn sidecar_membership_agrees_with_tree() {
-        for on in [true, false] {
-            let was = crate::intern::enabled();
-            crate::intern::set_enabled(on);
-            let mut inst = Instance::from_values([atom(1), set([atom(2)])]);
-            assert!(inst.contains(&atom(1)));
-            assert!(!inst.contains(&atom(9)));
-            assert!(inst.insert(tuple([atom(3), atom(4)])));
-            assert!(!inst.insert(tuple([atom(3), atom(4)])));
-            assert!(inst.contains(&tuple([atom(3), atom(4)])));
-            assert!(inst.remove(&atom(1)));
-            assert!(!inst.remove(&atom(1)));
-            assert!(!inst.contains(&atom(1)));
-            assert!(inst.insert_ref(&set([atom(2), atom(5)])));
-            assert!(!inst.insert_ref(&set([atom(2), atom(5)])));
-            assert_eq!(inst.len(), 3);
-            // A pristine default grows into sidecar maintenance too.
-            let mut fresh = Instance::empty();
-            assert!(fresh.insert(atom(42)));
-            assert!(fresh.contains(&atom(42)));
-            crate::intern::set_enabled(was);
-        }
+        let mut inst = Instance::from_values([atom(1), set([atom(2)])]);
+        assert!(inst.contains(&atom(1)));
+        assert!(!inst.contains(&atom(9)));
+        assert!(inst.insert(tuple([atom(3), atom(4)])));
+        assert!(!inst.insert(tuple([atom(3), atom(4)])));
+        assert!(inst.contains(&tuple([atom(3), atom(4)])));
+        assert!(inst.remove(&atom(1)));
+        assert!(!inst.remove(&atom(1)));
+        assert!(!inst.contains(&atom(1)));
+        assert!(inst.insert_ref(&set([atom(2), atom(5)])));
+        assert!(!inst.insert_ref(&set([atom(2), atom(5)])));
+        assert_eq!(inst.len(), 3);
+        // A pristine default grows into sidecar maintenance too.
+        let mut fresh = Instance::empty();
+        assert!(fresh.insert(atom(42)));
+        assert!(fresh.contains(&atom(42)));
     }
 
     /// Set operations keep the sidecar consistent whether derived from

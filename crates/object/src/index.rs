@@ -25,7 +25,7 @@
 //! the next access instead of a stale join snapshot.
 
 use crate::database::Instance;
-use crate::intern::{self, FxBuildHasher, ObjRef, Pool};
+use crate::intern::{FxBuildHasher, ObjRef, Pool};
 use crate::value::Value;
 use std::collections::{BTreeMap, HashMap};
 
@@ -44,42 +44,14 @@ pub fn nth_column(row: &Value, col: usize) -> Option<&Value> {
     row.as_tuple().and_then(|items| items.get(col))
 }
 
-/// Bucket storage for a [`ColumnIndex`]. The mode is fixed when the
-/// index is created (so one index never mixes keying schemes):
-/// `USET_INTERN` on keys buckets by pool id — probes intern the key
-/// once and look up by O(1) id hash, instead of deep-hashing the key
-/// `Value` and deep-comparing on bucket collisions — and off keeps the
-/// plain deep-keyed map, byte-for-byte the pre-interning behavior.
-#[derive(Clone, Debug)]
-enum Buckets {
-    Plain(HashMap<Value, Vec<Value>>),
-    Ids(HashMap<ObjRef, Vec<Value>, FxBuildHasher>),
-}
-
-impl Default for Buckets {
-    fn default() -> Buckets {
-        if intern::enabled() {
-            Buckets::Ids(HashMap::default())
-        } else {
-            Buckets::Plain(HashMap::new())
-        }
-    }
-}
-
-impl Buckets {
-    fn len(&self) -> usize {
-        match self {
-            Buckets::Plain(m) => m.len(),
-            Buckets::Ids(m) => m.len(),
-        }
-    }
-}
-
 /// A hash index over one relation: tuple rows grouped by one component.
+/// Buckets are keyed by the key's pool id, so a probe interns the key
+/// once and looks up by O(1) id hash instead of deep-hashing the key
+/// `Value` and deep-comparing on bucket collisions.
 #[derive(Clone, Debug, Default)]
 pub struct ColumnIndex {
     key_col: usize,
-    buckets: Buckets,
+    buckets: HashMap<ObjRef, Vec<Value>, FxBuildHasher>,
     rows_indexed: usize,
     stamp: u64,
 }
@@ -114,16 +86,11 @@ impl ColumnIndex {
     /// (see [`IndexSet::note_insert`]).
     pub fn insert(&mut self, row: &Value) {
         if let Some(key) = nth_column(row, self.key_col) {
-            match &mut self.buckets {
-                // must stay: plain buckets own key and row (id-keyed
-                // buckets replace the key clone with an intern)
-                Buckets::Plain(m) => m.entry(key.clone()).or_default().push(row.clone()),
-                Buckets::Ids(m) => m
-                    .entry(Pool::global().intern(key))
-                    .or_default()
-                    // must stay: probe answers borrow from the bucket
-                    .push(row.clone()),
-            }
+            self.buckets
+                .entry(Pool::global().intern(key))
+                .or_default()
+                // must stay: probe answers borrow from the bucket
+                .push(row.clone());
             self.rows_indexed += 1;
         }
     }
@@ -135,28 +102,13 @@ impl ColumnIndex {
         let Some(key) = nth_column(row, self.key_col) else {
             return;
         };
-        match &mut self.buckets {
-            Buckets::Plain(m) => {
-                if let Some(bucket) = m.get_mut(key) {
-                    if let Some(pos) = bucket.iter().position(|r| r == row) {
-                        bucket.swap_remove(pos);
-                        self.rows_indexed -= 1;
-                        if bucket.is_empty() {
-                            m.remove(key);
-                        }
-                    }
-                }
-            }
-            Buckets::Ids(m) => {
-                let id = Pool::global().intern(key);
-                if let Some(bucket) = m.get_mut(&id) {
-                    if let Some(pos) = bucket.iter().position(|r| r == row) {
-                        bucket.swap_remove(pos);
-                        self.rows_indexed -= 1;
-                        if bucket.is_empty() {
-                            m.remove(&id);
-                        }
-                    }
+        let id = Pool::global().intern(key);
+        if let Some(bucket) = self.buckets.get_mut(&id) {
+            if let Some(pos) = bucket.iter().position(|r| r == row) {
+                bucket.swap_remove(pos);
+                self.rows_indexed -= 1;
+                if bucket.is_empty() {
+                    self.buckets.remove(&id);
                 }
             }
         }
@@ -164,12 +116,9 @@ impl ColumnIndex {
 
     /// All rows whose keyed component equals `key`.
     pub fn probe(&self, key: &Value) -> &[Value] {
-        match &self.buckets {
-            Buckets::Plain(m) => m.get(key).map_or(&[], Vec::as_slice),
-            Buckets::Ids(m) => m
-                .get(&Pool::global().intern(key))
-                .map_or(&[], Vec::as_slice),
-        }
+        self.buckets
+            .get(&Pool::global().intern(key))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Number of rows the index covers (rows that have the keyed column).
@@ -194,7 +143,7 @@ impl ColumnIndex {
     /// index): the expected number of rows a ground probe on the keyed
     /// column returns — lower is more selective.
     pub fn avg_bucket_depth(&self) -> usize {
-        if self.buckets.len() == 0 {
+        if self.buckets.is_empty() {
             0
         } else {
             self.rows_indexed.div_ceil(self.buckets.len())
@@ -500,27 +449,21 @@ mod tests {
         );
     }
 
-    /// The id-keyed and plain bucket modes must be observationally
-    /// identical — same probe answers, same counts — under inserts and
-    /// removals alike.
+    /// Id-keyed buckets give the same probe answers and counts under
+    /// inserts and removals alike.
     #[test]
-    fn both_bucket_modes_answer_identically() {
-        let was = crate::intern::enabled();
-        for on in [true, false] {
-            crate::intern::set_enabled(on);
-            let mut idx = ColumnIndex::build(&rel());
-            assert_eq!(idx.probe(&atom(1)).len(), 2);
-            assert_eq!(idx.distinct_keys(), 2);
-            idx.insert(&tuple([atom(1), atom(12)]));
-            assert_eq!(idx.probe(&atom(1)).len(), 3);
-            idx.remove(&tuple([atom(1), atom(10)]));
-            idx.remove(&tuple([atom(2), atom(20)]));
-            assert_eq!(idx.probe(&atom(1)).len(), 2);
-            assert!(idx.probe(&atom(2)).is_empty());
-            assert_eq!(idx.distinct_keys(), 1);
-            assert_eq!(idx.len(), 2);
-        }
-        crate::intern::set_enabled(was);
+    fn buckets_follow_inserts_and_removals() {
+        let mut idx = ColumnIndex::build(&rel());
+        assert_eq!(idx.probe(&atom(1)).len(), 2);
+        assert_eq!(idx.distinct_keys(), 2);
+        idx.insert(&tuple([atom(1), atom(12)]));
+        assert_eq!(idx.probe(&atom(1)).len(), 3);
+        idx.remove(&tuple([atom(1), atom(10)]));
+        idx.remove(&tuple([atom(2), atom(20)]));
+        assert_eq!(idx.probe(&atom(1)).len(), 2);
+        assert!(idx.probe(&atom(2)).is_empty());
+        assert_eq!(idx.distinct_keys(), 1);
+        assert_eq!(idx.len(), 2);
     }
 
     #[test]

@@ -29,11 +29,11 @@
 //! nothing observable (states, stats, traces, checkpoints) ever depends
 //! on id values, only on id *equality*, which is interleaving-free.
 //!
-//! The layer is advisory and behavior-transparent: the `USET_INTERN`
-//! knob (default **on**; `off`/`0`/`false` disables) only switches
-//! constant-factor representation choices. Engines must produce
-//! bit-identical states, work counters, and trace bytes either way —
-//! `tests/intern_diff.rs` enforces this differentially.
+//! Interning is unconditional and advisory: the id fast paths built on
+//! it (membership sidecars, id-keyed index buckets, shared checkpoint
+//! encoding) never change an observable result. `tests/intern_diff.rs`
+//! checks them against oracles that do not use the pool: a
+//! `BTreeSet<Value>` model and a set-theoretic closure.
 
 use crate::atom::Atom;
 use crate::flatten::Inventor;
@@ -42,7 +42,7 @@ use std::cell::RefCell;
 use std::cmp::Ordering as CmpOrd;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// Shard count (must be a power of two; 16 keeps par workers at widths
@@ -315,35 +315,10 @@ pub struct Pool {
 
 static GLOBAL: OnceLock<Pool> = OnceLock::new();
 
-/// `USET_INTERN` knob state: 0 = unread, 1 = on, 2 = off.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
-
-/// True iff the interning layer is switched on (`USET_INTERN`, default
-/// on; `off` / `0` / `false` disable). The knob gates *representation
-/// choices* (sidecars, id-keyed buckets, shared serialization) — never
-/// observable behavior.
+/// Interning is unconditional; this always returns `true`. Kept for
+/// `perfbench`, which records it as run metadata.
 pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = match std::env::var("USET_INTERN") {
-                Ok(v) => !matches!(
-                    v.to_ascii_lowercase().as_str(),
-                    "off" | "0" | "false" | "no"
-                ),
-                Err(_) => true,
-            };
-            ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Programmatic override of the `USET_INTERN` knob (tests and benches;
-/// avoids `set_var` races under the threaded test harness).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+    true
 }
 
 /// Rough per-node heap footprint used for `bytes_shared_estimate`.
@@ -697,15 +672,12 @@ impl Pool {
 }
 
 /// The cached [`Meta`] of `v` when this thread has already interned it
-/// (whole-value memo hit) and the knob is on. Deliberately read-only:
+/// (whole-value memo hit). Deliberately read-only:
 /// a metadata query must never be the *reason* a value gets interned —
 /// on enumeration-heavy paths most values are seen exactly once, and
 /// interning each would cost a full locked tree walk to answer a
 /// question a plain early-exit walk answers cheaper.
 fn memo_meta(v: &Value) -> Option<Meta> {
-    if !enabled() {
-        return None;
-    }
     if let Value::Atom(a) = v {
         return Some(atom_meta(*a));
     }
@@ -713,19 +685,9 @@ fn memo_meta(v: &Value) -> Option<Meta> {
     Some(Pool::global().meta(r))
 }
 
-/// Gated fast path for [`Value::size`]: answered from cached metadata
-/// when interning is on and the value is already pooled on this thread,
-/// the plain recursive walk otherwise.
-pub fn fast_size(v: &Value) -> usize {
-    match memo_meta(v) {
-        Some(m) => m.size as usize,
-        None => v.size(),
-    }
-}
-
-/// Gated fast path for [`Value::set_depth`] (the U031 invention-depth
-/// lint's hot query), answered from cached metadata when interning is
-/// on and the value is already pooled on this thread.
+/// Fast path for [`Value::set_depth`] (the U031 invention-depth lint's
+/// hot query): answered from cached metadata when the value is already
+/// pooled on this thread, the plain recursive walk otherwise.
 pub fn fast_set_depth(v: &Value) -> usize {
     match memo_meta(v) {
         Some(m) => m.depth as usize,
@@ -883,15 +845,11 @@ mod tests {
     }
 
     #[test]
-    fn knob_gates_fast_paths_not_correctness() {
+    fn fast_set_depth_agrees_before_and_after_pooling() {
         let v = set([set([atom(77)]), atom(78)]);
-        let was = enabled();
-        set_enabled(true);
-        assert_eq!(fast_size(&v), v.size());
         assert_eq!(fast_set_depth(&v), v.set_depth());
-        set_enabled(false);
-        assert_eq!(fast_size(&v), v.size());
+        pool().intern(&v);
+        assert_eq!(memo_meta(&v).map(|m| m.size as usize), Some(v.size()));
         assert_eq!(fast_set_depth(&v), v.set_depth());
-        set_enabled(was);
     }
 }
